@@ -8,7 +8,10 @@ locally via::
 
 **Accuracy gate** (PR 3): the vectorized trace pipeline vs the
 per-message reference predictors, over a fixed slice of the Figure 7
-grid (every app at reduced iterations).
+grid (every app at reduced iterations).  Both engines get their trace
+from the same columnar emulator (``ProtocolEmulator.compile``; the
+reference engine decodes it into messages), so the gate compares
+predictor scoring and the trace decode.
 
 **Timing gate** (PR 4, extended PR 8): all three timing engines vs the
 heapq reference, over a Figure 9 slice (three apps, Base-DSM +

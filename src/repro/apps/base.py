@@ -120,6 +120,12 @@ class WorkloadBuilder:
         # Pending (not yet flushed) read run per block: list of readers.
         self._pending_reads: dict[BlockId, list[NodeId]] = {}
         self._finished = False
+        # Ops and epochs are immutable values, so each distinct one is
+        # built once and shared by every list that holds it.
+        self._read_ops: dict[BlockId, MemRead] = {}
+        self._write_ops: dict[BlockId, MemWrite] = {}
+        self._write_epochs: dict[NodeId, WriteEpoch] = {}
+        self._read_epochs: dict[tuple, ReadEpoch] = {}
 
     @property
     def num_procs(self) -> int:
@@ -156,17 +162,35 @@ class WorkloadBuilder:
     # operations
     # ------------------------------------------------------------------
     def read(self, proc: NodeId, block: BlockId) -> None:
-        phase = self._current_phase()
-        phase.ops[proc].append(MemRead(block))
-        run = self._pending_reads.setdefault(block, [])
-        if proc not in run:
+        phase = self._phase
+        if phase is None:
+            self._current_phase()  # raises the matching RuntimeError
+        op = self._read_ops.get(block)
+        if op is None:
+            op = self._read_ops[block] = MemRead(block)
+        phase.ops[proc].append(op)
+        run = self._pending_reads.get(block)
+        if run is None:
+            self._pending_reads[block] = [proc]
+        elif proc not in run:
             run.append(proc)
 
     def write(self, proc: NodeId, block: BlockId) -> None:
-        phase = self._current_phase()
-        phase.ops[proc].append(MemWrite(block))
-        self._flush_reads_for(block)
-        self._script(block).append(WriteEpoch(writer=proc))
+        phase = self._phase
+        if phase is None:
+            self._current_phase()  # raises the matching RuntimeError
+        op = self._write_ops.get(block)
+        if op is None:
+            op = self._write_ops[block] = MemWrite(block)
+        phase.ops[proc].append(op)
+        script = self._script(block)
+        run = self._pending_reads.pop(block, None)
+        if run:
+            script.epochs.append(self._read_epoch(run, phase))
+        epoch = self._write_epochs.get(proc)
+        if epoch is None:
+            epoch = self._write_epochs[proc] = WriteEpoch(writer=proc)
+        script.epochs.append(epoch)
 
     def compute(self, proc: NodeId, cycles: int) -> None:
         if cycles < 0:
@@ -206,29 +230,26 @@ class WorkloadBuilder:
         return self._phase
 
     def _script(self, block: BlockId) -> BlockScript:
-        scripts = self._workload.scripts
-        if block not in scripts:
-            scripts[block] = BlockScript(block=block)
-        return scripts[block]
+        script = self._workload.scripts.get(block)
+        if script is None:
+            script = self._workload.scripts[block] = BlockScript(block=block)
+        return script
 
-    def _flush_reads_for(self, block: BlockId) -> None:
-        run = self._pending_reads.pop(block, None)
-        if not run:
-            return
-        phase = self._phase
-        # Reads may be flushed by a phase boundary after the phase object
-        # was already detached; fall back to the last recorded phase.
-        if phase is None and self._workload.phases:
-            phase = self._workload.phases[-1]
-        racy = phase.racy_reads if phase else False
-        racy_acks = phase.racy_acks if phase else False
-        self._script(block).append(
-            ReadEpoch(readers=tuple(run), racy=racy, racy_acks=racy_acks)
-        )
+    def _read_epoch(self, run: list[NodeId], phase: Phase) -> ReadEpoch:
+        """The read epoch closing ``run``, with ``phase``'s raciness."""
+        key = (tuple(run), phase.racy_reads, phase.racy_acks)
+        epoch = self._read_epochs.get(key)
+        if epoch is None:
+            epoch = self._read_epochs[key] = ReadEpoch(*key)
+        return epoch
 
     def _flush_reads(self) -> None:
-        for block in list(self._pending_reads):
-            self._flush_reads_for(block)
+        """Close every pending read run at the end of the open phase."""
+        phase = self._phase
+        assert phase is not None
+        for block, run in self._pending_reads.items():
+            self._script(block).epochs.append(self._read_epoch(run, phase))
+        self._pending_reads.clear()
 
 
 # ----------------------------------------------------------------------

@@ -13,12 +13,18 @@ The protocol is one **claim file per point** under a claims directory
 * a worker claims a point by creating ``<store-key>.claim`` with
   ``O_CREAT | O_EXCL`` — the kernel guarantees exactly one creator wins,
   across processes and across NFS-style shared mounts;
-* the file carries the owner's identity (worker id, pid, host) and its
-  **mtime is the heartbeat**: the owner refreshes it while computing;
+* the file carries the owner's identity (worker id, pid, host) and a
+  random ``claim_id`` naming this incarnation of the claim; its **mtime
+  is the heartbeat**: the owner refreshes it while computing;
 * a claim whose mtime is older than the TTL is *stale* — its owner is
-  presumed dead, and any worker may **steal** it: the stale file is
-  atomically renamed aside (exactly one stealer wins the rename) and a
-  fresh claim is created with ``O_CREAT | O_EXCL`` again.
+  presumed dead, and any worker may **steal** it;
+* a claim incarnation ends (stolen or released) only through its
+  *retire token* ``<store-key>.<claim_id>.retire``, again created with
+  ``O_CREAT | O_EXCL``: the one token holder re-checks that the claim
+  file still holds that incarnation and then swaps in its own claim
+  with an atomic ``os.replace`` (steal) or unlinks it (release).  A
+  thief acting on an old read of the claim therefore cannot displace
+  the fresh claim a faster thief just installed.
 
 Because results land in the content-addressed
 :class:`~repro.harness.store.ResultStore` with atomic writes, the worst
@@ -74,7 +80,7 @@ DEFAULT_CLAIM_TTL_S = 120.0
 #: Name of the append-only claim-transition log inside the claims dir.
 EVENTS_LOG = "events.log"
 
-_TOMB_COUNTER = itertools.count(1)
+_TMP_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +93,10 @@ class ClaimInfo:
     claimed_at: float | None
     #: Seconds since the last heartbeat (the file's mtime).
     age_s: float
+    #: Which incarnation of the claim this is: the ``claim_id`` its
+    #: creator wrote or, for a torn or foreign file, its inode and
+    #: mtime.  Two reads agree on it only when they saw the same claim.
+    claim_id: str | None = None
 
 
 def default_owner() -> str:
@@ -117,7 +127,8 @@ class ClaimBoard:
         self.ttl_s = float(ttl_s)
         self._host = socket.gethostname()
         self._lock = threading.Lock()
-        self._held: set[str] = set()
+        #: key -> claim_id of every claim this board holds
+        self._held: dict[str, str] = {}
         self.claimed = 0
         self.stolen = 0
         self.released = 0
@@ -156,24 +167,35 @@ class ClaimBoard:
             return self._create(key)
         if info.age_s <= self.ttl_s:
             return False
-        # Stale: move the corpse aside.  ``os.rename`` of one specific
-        # path succeeds for exactly one stealer; everyone else sees
-        # FileNotFoundError and backs off.
-        tomb = self.root / f".tomb-{os.getpid()}-{next(_TOMB_COUNTER)}"
-        try:
-            os.rename(self.path_for(key), tomb)
-        except OSError:
+        return self._steal(key, info)
+
+    def _steal(self, key: str, stale: ClaimInfo) -> bool:
+        # ``stale`` may be an old read: a faster thief may already have
+        # replaced that claim.  Only the retire-token holder of the
+        # incarnation we judged may replace it, and only if it is still
+        # the one in the file.
+        path = self.path_for(key)
+        token = self._take_retire_token(key, stale.claim_id)
+        if token is None:
             return False
+        tmp = self.root / f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}"
         try:
-            os.unlink(tomb)
+            current = self._inspect(path)
+            if current is None or current.claim_id != stale.claim_id:
+                return False
+            claim_id, body = self._new_claim()
+            tmp.write_bytes(body)
+            os.replace(tmp, path)
         except OSError:
-            pass
+            self._drop(tmp)
+            return False
+        finally:
+            self._drop(token)
         with self._lock:
             self.stolen += 1
-        self._log("stolen", key, {"from": info.owner, "age_s": round(info.age_s, 3)})
-        # The slot is open again but not ours yet — a third worker may
-        # have re-created it between our rename and this create.
-        return self._create(key)
+        self._log("stolen", key, {"from": stale.owner, "age_s": round(stale.age_s, 3)})
+        self._won(key, claim_id)
+        return True
 
     def _create(self, key: str) -> bool:
         path = self.path_for(key)
@@ -188,19 +210,56 @@ class ClaimBoard:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             except OSError:
                 return False
+        claim_id, body = self._new_claim()
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(body)
+        self._won(key, claim_id)
+        return True
+
+    def _new_claim(self) -> tuple[str, bytes]:
+        claim_id = os.urandom(8).hex()
         payload = {
             "owner": self.owner,
             "pid": os.getpid(),
             "host": self._host,
             "claimed_at": time.time(),
+            "claim_id": claim_id,
         }
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        return claim_id, json.dumps(payload).encode("utf-8")
+
+    def _won(self, key: str, claim_id: str) -> None:
         with self._lock:
-            self._held.add(key)
+            self._held[key] = claim_id
             self.claimed += 1
         self._log("claimed", key)
-        return True
+
+    def _take_retire_token(self, key: str, claim_id: str | None) -> Path | None:
+        """Create the retire token of claim ``claim_id``, or None if taken.
+
+        The token is held for a handful of syscalls.  One older than the
+        TTL was left by a worker that died holding it: drop it so a later
+        attempt can retire the claim (this attempt still backs off).
+        """
+        token = self.root / f"{key}.{claim_id}.retire"
+        try:
+            os.close(os.open(token, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644))
+        except FileExistsError:
+            try:
+                if time.time() - os.stat(token).st_mtime > self.ttl_s:
+                    self._drop(token)
+            except OSError:
+                pass
+            return None
+        except OSError:
+            return None
+        return token
+
+    @staticmethod
+    def _drop(path: Path) -> None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     def read(self, key: str) -> ClaimInfo | None:
         """The current claim on ``key``, or None when unclaimed.
@@ -209,36 +268,47 @@ class ClaimBoard:
         reads as held by an unknown owner with a fresh heartbeat — it is
         never treated as stale or stealable just for being torn.
         """
-        path = self.path_for(key)
+        return self._inspect(self.path_for(key))
+
+    @staticmethod
+    def _inspect(path: Path) -> ClaimInfo | None:
+        # mtime and body come from one open file, so they describe the
+        # same incarnation even if the claim is replaced meanwhile.
         try:
-            mtime = os.stat(path).st_mtime
+            with open(path, "rb") as handle:
+                st = os.fstat(handle.fileno())
+                raw = handle.read()
         except OSError:
             return None
-        owner = pid = host = claimed_at = None
+        owner = pid = host = claimed_at = claim_id = None
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(raw)
             if isinstance(data, dict):
                 owner = data.get("owner")
                 pid = data.get("pid")
                 host = data.get("host")
                 claimed_at = data.get("claimed_at")
-        except (OSError, ValueError):
+                claim_id = data.get("claim_id")
+        except ValueError:
             pass
+        if not isinstance(claim_id, str):
+            claim_id = f"ino{st.st_ino}-{st.st_mtime_ns}"
         return ClaimInfo(
             owner=owner,
             pid=pid,
             host=host,
             claimed_at=claimed_at,
-            age_s=max(0.0, time.time() - mtime),
+            age_s=max(0.0, time.time() - st.st_mtime),
+            claim_id=claim_id,
         )
 
     def heartbeat(self) -> None:
         """Refresh the mtime of every held claim (and detect losses)."""
         with self._lock:
-            held = list(self._held)
-        for key in held:
-            info = self.read(key)
-            if info is None or (info.owner is not None and info.owner != self.owner):
+            held = list(self._held.items())
+        for key, claim_id in held:
+            info = self._inspect(self.path_for(key))
+            if info is None or info.claim_id != claim_id:
                 self._mark_lost(key)
                 continue
             try:
@@ -249,54 +319,30 @@ class ClaimBoard:
     def release(self, key: str) -> None:
         """Drop a held claim so other workers may take the point over."""
         with self._lock:
-            held = key in self._held
-            self._held.discard(key)
-        if not held:
+            claim_id = self._held.pop(key, None)
+        if claim_id is None:
             return
-        info = self.read(key)
-        if info is not None and info.owner not in (None, self.owner):
-            # stolen while we computed — the file belongs to the thief now
+        # Same retire token as a steal: a thief stealing our claim right
+        # now holds it, so we back off instead of deleting its new claim.
+        token = self._take_retire_token(key, claim_id)
+        if token is None:
             with self._lock:
                 self.lost += 1
-            self._log("lost", key, {"to": info.owner})
-            return
-        # Remove via rename-then-verify, not a bare unlink: a thief may
-        # steal and re-create the claim between the read above and the
-        # removal, and unlinking *its* file would open the point to a
-        # third worker.  The rename grabs exactly one file; if it turns
-        # out not to be ours, put it back.
-        path = self.path_for(key)
-        tomb = self.root / f".tomb-{os.getpid()}-{next(_TOMB_COUNTER)}"
-        try:
-            os.rename(path, tomb)
-        except OSError:
-            # already gone (the thief released too, or operator cleanup)
-            with self._lock:
-                self.released += 1
-            self._log("released", key)
+            self._log("lost", key)
             return
         try:
-            data = json.loads(tomb.read_text(encoding="utf-8"))
-            renamed_owner = data.get("owner") if isinstance(data, dict) else None
-        except (OSError, ValueError):
-            renamed_owner = None  # torn ⇒ freshly created ⇒ not ours
-        if renamed_owner != self.owner:
-            try:
-                os.link(tomb, path)  # restore; no-op if a third worker re-claimed
-            except OSError:
-                pass
-            try:
-                os.unlink(tomb)
-            except OSError:
-                pass
-            with self._lock:
-                self.lost += 1
-            self._log("lost", key, {"to": renamed_owner})
-            return
-        try:
-            os.unlink(tomb)
-        except OSError:
-            pass
+            current = self._inspect(self.path_for(key))
+            if current is not None and current.claim_id != claim_id:
+                # stolen while we computed — the file belongs to the thief now
+                with self._lock:
+                    self.lost += 1
+                self._log("lost", key, {"to": current.owner})
+                return
+            if current is not None:
+                self._drop(self.path_for(key))
+        finally:
+            self._drop(token)
+        # (already gone: the thief released too, or operator cleanup)
         with self._lock:
             self.released += 1
         self._log("released", key)
@@ -315,9 +361,8 @@ class ClaimBoard:
 
     def _mark_lost(self, key: str) -> None:
         with self._lock:
-            if key not in self._held:
+            if self._held.pop(key, None) is None:
                 return
-            self._held.discard(key)
             self.lost += 1
         self._log("lost", key)
 

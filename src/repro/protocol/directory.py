@@ -4,8 +4,10 @@ This is the protocol of Figure 1 in the paper: every block is Idle
 (no remote copies), Shared (one or more read-only copies, tracked in a
 full-map sharer set), or Exclusive (a single writable copy).  The class
 is pure state-transition logic — it reports which coherence messages a
-transition generates but attaches no timing, so both the trace-driven
-emulator and the event-driven timing simulator can drive it.
+transition generates but attaches no timing.  The event-driven timing
+simulator drives it; the trace-driven emulator
+(:meth:`repro.protocol.emulator.ProtocolEmulator.compile`) inlines the
+same transitions and is tested against it.
 """
 
 from __future__ import annotations

@@ -14,17 +14,26 @@ the paper identifies:
 
 Races are drawn from a per-block deterministic RNG stream, so results
 are reproducible and independent of block iteration order.
+
+:meth:`ProtocolEmulator.compile` is the one emulator: it runs the
+:class:`~repro.protocol.directory.BlockDirectory` transitions inline,
+with each block's directory state held in locals, and writes the
+message columns directly.  The per-message views (:meth:`messages_for`,
+:meth:`run`) decode its output.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatSet
-from repro.common.types import Message, MessageKind, NodeId
-from repro.protocol.directory import BlockDirectory
+from repro.common.types import Message
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
+
+if TYPE_CHECKING:
+    from repro.trace.compiled import CompiledTrace
 
 
 class ProtocolEmulator:
@@ -36,67 +45,8 @@ class ProtocolEmulator:
 
     def messages_for(self, script: BlockScript) -> list[Message]:
         """The home-directory message stream for one block."""
-        return [message for _epoch, message in self.script_events(script)]
-
-    def script_events(
-        self, script: BlockScript
-    ) -> list[tuple[int, Message]]:
-        """``(epoch_index, message)`` pairs for one block's script.
-
-        Invalidation acknowledgements normally return in full-map order
-        — the directory walks its sharer bitmap when sending
-        invalidations, and with minimal queueing the responses come back
-        in the same order (the paper's barnes discussion, Section 7.1).
-        Sharers acquired during a ``racy_acks`` read epoch instead
-        acknowledge in a random permutation.
-        """
-        rng = self._rng.split(f"block-{script.block}")
-        directory = BlockDirectory()
-        # Sharers that will acknowledge a future invalidation in racy order.
-        racy_ack_members: set[NodeId] = set()
-        out: list[tuple[int, Message]] = []
-        epoch_index = 0
-
-        def emit(kind: MessageKind, node: NodeId) -> None:
-            out.append(
-                (epoch_index, Message(kind=kind, node=node, block=script.block))
-            )
-            self.stats.bump(f"msg_{kind.value}")
-            if kind.is_request:
-                self.stats.bump("requests")
-
-        for epoch_index, epoch in enumerate(script.epochs):
-            if isinstance(epoch, ReadEpoch):
-                arrival = list(epoch.readers)
-                if epoch.racy and len(arrival) > 1:
-                    rng.shuffle(arrival)
-                for reader in arrival:
-                    transition = directory.read(reader)
-                    if not transition.generated_request:
-                        continue
-                    emit(MessageKind.READ, reader)
-                    if transition.writeback_from is not None:
-                        emit(MessageKind.WRITEBACK, transition.writeback_from)
-                    if epoch.racy_acks:
-                        racy_ack_members.add(reader)
-            elif isinstance(epoch, WriteEpoch):
-                transition = directory.write(epoch.writer)
-                if not transition.generated_request:
-                    continue
-                assert transition.request is not None
-                emit(transition.request, epoch.writer)
-                if transition.writeback_from is not None:
-                    emit(MessageKind.WRITEBACK, transition.writeback_from)
-                if transition.invalidated:
-                    acks = list(transition.invalidated)  # full-map order
-                    if racy_ack_members & set(acks) and len(acks) > 1:
-                        rng.shuffle(acks)
-                    for node in acks:
-                        emit(MessageKind.ACK, node)
-                racy_ack_members.clear()
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown epoch type: {epoch!r}")
-        return out
+        # Decoding reads no node count, so any value serves.
+        return list(self.compile([script], num_nodes=0).to_messages())
 
     def run(
         self, scripts: Iterable[BlockScript]
@@ -110,30 +60,114 @@ class ProtocolEmulator:
     ) -> "CompiledTrace":
         """Compile every script's message stream into one columnar trace.
 
-        The result is bit-equivalent to :meth:`run`: decoding the trace
-        (:meth:`~repro.trace.compiled.CompiledTrace.to_messages`) yields
-        exactly the messages ``run`` would, in the same block-major
-        order.  Races draw from the same per-block RNG streams, so
-        compiling and replaying are interchangeable.
+        Blocks appear in script order, each block's messages contiguous
+        (block-major).  The directory follows
+        :class:`~repro.protocol.directory.BlockDirectory` exactly: a
+        block with an ``owner`` is Exclusive, otherwise it is Shared by
+        ``sharers`` (Idle when that set is empty).
+
+        Invalidation acknowledgements normally return in full-map order
+        — the directory walks its sharer bitmap when sending
+        invalidations, and with minimal queueing the responses come back
+        in the same order (the paper's barnes discussion, Section 7.1).
+        Sharers acquired during a ``racy_acks`` read epoch instead
+        acknowledge in a random permutation.
+
+        ``self.stats`` gains the per-kind message counts
+        (``msg_<kind>``) and the request count (``requests``).
         """
         # Imported here so the protocol layer stays importable without
         # pulling numpy in (repro.trace requires it).
-        from repro.trace.compiled import KIND_TO_CODE, CompiledTrace
+        import numpy as np
 
+        from repro.trace.compiled import KIND_CODES, CompiledTrace
+
+        READ, WRITE, UPGRADE, ACK, WRITEBACK = range(len(KIND_CODES))
         kinds: list[int] = []
         nodes: list[int] = []
-        blocks: list[int] = []
         epochs: list[int] = []
+        block_ids: list[int] = []
+        lengths: list[int] = []
+        add_kind, add_node, add_epoch = kinds.append, nodes.append, epochs.append
+        split = self._rng.split
         for script in scripts:
-            for epoch_index, message in self.script_events(script):
-                kinds.append(KIND_TO_CODE[message.kind])
-                nodes.append(message.node)
-                blocks.append(message.block)
-                epochs.append(epoch_index)
-        return CompiledTrace.from_columns(
+            rng = split(f"block-{script.block}")
+            start = len(kinds)
+            sharers: set[int] = set()
+            owner: int | None = None
+            # Sharers that will acknowledge a future invalidation in racy order.
+            racy_ack_members: set[int] = set()
+            for epoch_index, epoch in enumerate(script.epochs):
+                if isinstance(epoch, ReadEpoch):
+                    arrival = list(epoch.readers)
+                    if epoch.racy and len(arrival) > 1:
+                        rng.shuffle(arrival)
+                    for reader in arrival:
+                        if owner is not None:
+                            if reader == owner:
+                                continue  # owner hits in its own cache
+                            add_kind(READ)
+                            add_node(reader)
+                            add_kind(WRITEBACK)
+                            add_node(owner)
+                            add_epoch(epoch_index)
+                            add_epoch(epoch_index)
+                            sharers = {reader}
+                            owner = None
+                        elif reader in sharers:
+                            continue  # cache hit, no message
+                        else:
+                            add_kind(READ)
+                            add_node(reader)
+                            add_epoch(epoch_index)
+                            sharers.add(reader)
+                        if epoch.racy_acks:
+                            racy_ack_members.add(reader)
+                elif isinstance(epoch, WriteEpoch):
+                    writer = epoch.writer
+                    if owner is not None:
+                        if writer == owner:
+                            continue  # silent upgrade in own cache
+                        add_kind(WRITE)
+                        add_node(writer)
+                        add_kind(WRITEBACK)
+                        add_node(owner)
+                        add_epoch(epoch_index)
+                        add_epoch(epoch_index)
+                    else:
+                        add_kind(UPGRADE if writer in sharers else WRITE)
+                        add_node(writer)
+                        add_epoch(epoch_index)
+                        sharers.discard(writer)
+                        if sharers:
+                            acks = sorted(sharers)  # full-map order
+                            if len(acks) > 1 and not racy_ack_members.isdisjoint(acks):
+                                rng.shuffle(acks)
+                            for node in acks:
+                                add_kind(ACK)
+                                add_node(node)
+                                add_epoch(epoch_index)
+                            sharers = set()
+                    owner = writer
+                    racy_ack_members.clear()
+                else:  # pragma: no cover - defensive
+                    raise TypeError(f"unknown epoch type: {epoch!r}")
+            block_ids.append(script.block)
+            lengths.append(len(kinds) - start)
+
+        trace = CompiledTrace.from_columns(
             kinds=kinds,
             nodes=nodes,
-            blocks=blocks,
+            blocks=np.repeat(np.asarray(block_ids, dtype=np.int64), lengths),
             epochs=epochs,
             num_nodes=num_nodes,
         )
+        counts = np.bincount(trace.kinds, minlength=len(KIND_CODES)).tolist()
+        stats = self.stats
+        for kind, count in zip(KIND_CODES, counts):
+            if count:
+                stats.bump(f"msg_{kind.value}", count)
+        requests = counts[READ] + counts[WRITE] + counts[UPGRADE]
+        if requests:
+            stats.bump("requests", requests)
+        return trace

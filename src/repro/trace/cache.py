@@ -42,8 +42,10 @@ TRACE_KIND = "trace"
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Bumped when the trace payload layout changes; keys every trace entry
-#: so old payloads simply miss instead of mis-decoding.
-TRACE_SCHEMA = 1
+#: so old payloads simply miss instead of mis-decoding.  Schema 2 stores
+#: each column as base64 of fixed little-endian bytes (schema 1 used
+#: JSON int lists).
+TRACE_SCHEMA = 2
 
 #: The second trace family: compiled *timing* traces (macro-step
 #: records of whole Machine runs, see ``repro.sim.timetrace``).  They
@@ -94,7 +96,7 @@ def trace_store() -> ResultStore | None:
     return ResultStore(
         directory,
         fingerprint={"trace_schema": TRACE_SCHEMA},
-        compact=True,  # columns are bulk int lists; indent would bloat
+        compact=True,  # columns are bulk base64 strings; indent adds nothing
     )
 
 

@@ -21,12 +21,13 @@ lean on.
 
 from __future__ import annotations
 
+import binascii
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
 
-from repro.common.canonical import canonical_hash
 from repro.common.types import Message, MessageKind
 
 #: Fixed kind encoding: ``kinds`` column value = index into this tuple.
@@ -45,6 +46,15 @@ KIND_TO_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(KIND_CODES)}
 
 #: Codes <= this value are request messages.
 MAX_REQUEST_CODE = KIND_TO_CODE[MessageKind.UPGRADE]
+
+#: The columns and their fixed little-endian storage types, in payload
+#: and hash order.
+COLUMN_DTYPES: tuple[tuple[str, str], ...] = (
+    ("kinds", "<u1"),
+    ("nodes", "<i4"),
+    ("blocks", "<i8"),
+    ("epochs", "<i4"),
+)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -106,37 +116,52 @@ class CompiledTrace:
     # ------------------------------------------------------------------
     def to_messages(self) -> Iterator[Message]:
         """Decode the identical per-message stream (reference path)."""
-        kinds, nodes, blocks = self.kinds, self.nodes, self.blocks
-        for i in range(len(self)):
-            yield Message(
-                kind=KIND_CODES[kinds[i]],
-                node=int(nodes[i]),
-                block=int(blocks[i]),
-            )
+        for kind, node, block in zip(
+            self.kinds.tolist(), self.nodes.tolist(), self.blocks.tolist()
+        ):
+            yield Message(kind=KIND_CODES[kind], node=node, block=block)
 
     # ------------------------------------------------------------------
     # serialization (the trace-cache payload)
     # ------------------------------------------------------------------
+    def _column_bytes(self) -> list[bytes]:
+        return [
+            getattr(self, name).astype(dtype, copy=False).tobytes()
+            for name, dtype in COLUMN_DTYPES
+        ]
+
     def as_payload(self) -> dict[str, Any]:
-        """A JSON-representable form, loadable by :meth:`from_payload`."""
-        return {
-            "num_nodes": self.num_nodes,
-            "kinds": self.kinds.tolist(),
-            "nodes": self.nodes.tolist(),
-            "blocks": self.blocks.tolist(),
-            "epochs": self.epochs.tolist(),
-        }
+        """A JSON-representable form, loadable by :meth:`from_payload`.
+
+        Each column is the base64 of its :data:`COLUMN_DTYPES` bytes.
+        """
+        payload: dict[str, Any] = {"num_nodes": self.num_nodes}
+        for (name, _dtype), raw in zip(COLUMN_DTYPES, self._column_bytes()):
+            payload[name] = binascii.b2a_base64(raw, newline=False).decode("ascii")
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CompiledTrace":
-        return cls.from_columns(
-            kinds=payload["kinds"],
-            nodes=payload["nodes"],
-            blocks=payload["blocks"],
-            epochs=payload["epochs"],
-            num_nodes=payload["num_nodes"],
-        )
+        """Decode :meth:`as_payload` output.
+
+        Raises ``ValueError`` for invalid base64, a byte length that is
+        not a whole number of column elements, or columns of unequal
+        length; ``KeyError``/``TypeError`` for a missing or mistyped
+        field.
+        """
+        columns = {}
+        for name, dtype in COLUMN_DTYPES:
+            # binascii.Error is a ValueError; so is frombuffer's complaint
+            # about a length that is not a multiple of the item size.
+            raw = binascii.a2b_base64(payload[name], strict_mode=True)
+            columns[name] = np.frombuffer(raw, dtype=dtype)
+        if len({column.shape[0] for column in columns.values()}) > 1:
+            raise ValueError("trace columns have unequal lengths")
+        return cls.from_columns(num_nodes=payload["num_nodes"], **columns)
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical JSON form of the columns."""
-        return canonical_hash(self.as_payload())
+        """SHA-256 over ``num_nodes`` (``<i8``) and the column bytes."""
+        digest = hashlib.sha256(self.num_nodes.to_bytes(8, "little", signed=True))
+        for raw in self._column_bytes():
+            digest.update(raw)
+        return digest.hexdigest()

@@ -180,8 +180,8 @@ class TestClaimRaces:
         assert sum(wins) == 1
 
     def test_threaded_steal_race_single_thief(self, tmp_path):
-        """Many threads racing to steal one stale claim: the rename
-        tombstone admits exactly one."""
+        """Many threads racing to steal one stale claim: the retire
+        token of that claim admits exactly one."""
         # ttl must be generous: with a short one, a loaded machine can
         # delay a losing thief's stat past the TTL, making the freshly
         # stolen claim itself look stale (a second legitimate steal, and
@@ -205,6 +205,62 @@ class TestClaimRaces:
         for thread in threads:
             thread.join(timeout=30)
         assert sum(wins) == 1
+
+    def test_thief_with_an_old_read_cannot_displace_a_fresh_steal(
+        self, tmp_path, monkeypatch
+    ):
+        """The steal check-then-act race, pinned: a slow thief judged the
+        claim stale, then a faster thief stole it.  The slow thief must
+        back off rather than replace the fast thief's fresh claim."""
+        dead = ClaimBoard(tmp_path, owner="dead", ttl_s=30.0)
+        assert dead.acquire("k1")
+        backdate(dead, "k1", seconds=60.0)
+        fast = ClaimBoard(tmp_path, owner="fast", ttl_s=30.0)
+        slow = ClaimBoard(tmp_path, owner="slow", ttl_s=30.0)
+        stale_view = slow.read("k1")
+        assert stale_view.age_s > 30.0
+        assert fast.acquire("k1")
+        monkeypatch.setattr(slow, "read", lambda key: stale_view)
+        assert not slow.acquire("k1")
+        assert json.loads(fast.path_for("k1").read_text())["owner"] == "fast"
+        assert slow.stats()["stolen"] == 0 and fast.stats()["stolen"] == 1
+        assert fast.holds("k1") and not slow.holds("k1")
+
+    def test_release_backs_off_while_a_thief_retires_the_claim(self, tmp_path):
+        """An owner alive past the TTL releasing while a thief holds the
+        claim's retire token: the owner counts the claim lost and leaves
+        the file to the thief."""
+        slow = ClaimBoard(tmp_path, owner="slow", ttl_s=5.0)
+        assert slow.acquire("k1")
+        claim_id = slow.read("k1").claim_id
+        token = tmp_path / f"k1.{claim_id}.retire"
+        token.write_text("")  # a thief between taking the token and swapping
+        slow.release("k1")
+        assert slow.stats()["lost"] == 1 and slow.stats()["released"] == 0
+        assert slow.read("k1").claim_id == claim_id
+        token.unlink()
+        backdate(slow, "k1", seconds=60.0)
+        thief = ClaimBoard(tmp_path, owner="thief", ttl_s=5.0)
+        assert thief.acquire("k1")
+        assert json.loads(thief.path_for("k1").read_text())["owner"] == "thief"
+
+    def test_retire_token_of_a_crashed_thief_expires_after_ttl(self, tmp_path):
+        """A thief that died holding a retire token must not pin the
+        claim forever: once the token is older than the TTL it is dropped
+        and a later attempt steals the claim."""
+        dead = ClaimBoard(tmp_path, owner="dead", ttl_s=10.0)
+        assert dead.acquire("k1")
+        backdate(dead, "k1", seconds=60.0)
+        token = tmp_path / f"k1.{dead.read('k1').claim_id}.retire"
+        token.write_text("")
+        thief = ClaimBoard(tmp_path, owner="thief", ttl_s=10.0)
+        assert not thief.acquire("k1")  # fresh token: someone is mid-steal
+        stamp = time.time() - 60.0
+        os.utime(token, (stamp, stamp))
+        assert not thief.acquire("k1")  # drops the dead thief's token
+        assert not token.exists()
+        assert thief.acquire("k1")
+        assert json.loads(thief.path_for("k1").read_text())["owner"] == "thief"
 
 
 class TestClaimedRunner:

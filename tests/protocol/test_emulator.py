@@ -1,13 +1,16 @@
 """Tests for the trace-driven protocol emulator."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRng
 from repro.common.types import MessageKind
 from repro.protocol.emulator import ProtocolEmulator
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
+from repro.trace import KIND_TO_CODE
+from tests.protocol.reference_emulator import reference_events, reference_stats
+from tests.strategies.settings import DETERMINISM_SETTINGS
 
 
 def emulate(script, seed=0):
@@ -186,3 +189,30 @@ def test_request_count_never_exceeds_accesses(epochs, seed):
     )
     requests = sum(1 for m in messages if m.is_request)
     assert requests <= accesses
+
+
+@DETERMINISM_SETTINGS
+@given(
+    st.lists(epochs_strategy, min_size=1, max_size=4),
+    st.integers(0, 2**16),
+)
+# The writer is the only racy-ack sharer: its invalidations stay in
+# full-map order.
+@example(
+    [[ReadEpoch((1, 2, 3, 4)), ReadEpoch((0,), racy_acks=True), WriteEpoch(0)]],
+    1,
+)
+def test_compile_matches_the_directory_oracle(block_epochs, seed):
+    """compile() columns and stats equal the BlockDirectory-driven loop."""
+    scripts = [
+        BlockScript(block=3 * index + 1, epochs=epochs)
+        for index, epochs in enumerate(block_epochs)
+    ]
+    emulator = ProtocolEmulator(DeterministicRng(seed))
+    trace = emulator.compile(scripts, num_nodes=6)
+    events = reference_events(DeterministicRng(seed), scripts)
+    assert trace.kinds.tolist() == [KIND_TO_CODE[m.kind] for _e, m in events]
+    assert trace.nodes.tolist() == [m.node for _e, m in events]
+    assert trace.blocks.tolist() == [m.block for _e, m in events]
+    assert trace.epochs.tolist() == [epoch for epoch, _m in events]
+    assert emulator.stats.as_dict() == reference_stats(m for _e, m in events)

@@ -1,13 +1,15 @@
 """Compiled-trace caching: addressing, hit/miss accounting, metadata."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from repro.harness import SweepPoint
-from repro.harness.store import MISS
+from repro.harness.store import MISS, ResultStore
 from repro.trace import (
+    CompiledTrace,
     compile_app_trace,
     configure_trace_cache,
     snapshot_counters,
@@ -22,6 +24,14 @@ def cache_dir(tmp_path):
     directory = tmp_path / "cache"
     configure_trace_cache(directory)
     return directory
+
+
+def _unb64(text):
+    return base64.b64decode(text)
+
+
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _counters_delta(fn):
@@ -97,18 +107,70 @@ class TestCacheBehavior:
         )
         assert delta == (0, 1)
 
-    def test_corrupt_payload_degrades_to_recompile(self, cache_dir):
-        compile_app_trace("em3d", num_procs=8, iterations=3)
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(lambda r: r.pop("kinds"), KeyError, id="missing-column"),
+            pytest.param(
+                lambda r: r.update(nodes=_b64(_unb64(r["nodes"])[:-4])),
+                ValueError,
+                id="one-node-dropped",
+            ),
+            pytest.param(
+                lambda r: r.update(epochs=_b64(_unb64(r["epochs"])[:8])),
+                ValueError,
+                id="epochs-truncated",
+            ),
+            pytest.param(
+                lambda r: r.update(blocks=_b64(_unb64(r["blocks"])[:-1])),
+                ValueError,
+                id="partial-element",
+            ),
+            pytest.param(
+                lambda r: r.update(kinds="not*base64!"), ValueError, id="invalid-base64"
+            ),
+            pytest.param(
+                lambda r: r.update(kinds=[0, 1, 2]), TypeError, id="json-int-list"
+            ),
+        ],
+    )
+    def test_corrupt_payload_degrades_to_recompile(self, cache_dir, corrupt, error):
+        fresh = compile_app_trace("em3d", num_procs=8, iterations=3)
         point = trace_point("em3d", 8, 3, 1999, 7)
         path = trace_store().path_for(point)
         entry = json.loads(path.read_text())
-        del entry["result"]["kinds"]
+        corrupt(entry["result"])
+        with pytest.raises(error):
+            CompiledTrace.from_payload(entry["result"])
         path.write_text(json.dumps(entry))
         trace, delta = _counters_delta(
             lambda: compile_app_trace("em3d", num_procs=8, iterations=3)
         )
         assert delta == (0, 1)  # unreadable payload is a miss
-        assert len(trace) > 0
+        assert trace.content_hash() == fresh.content_hash()
+
+    def test_schema_1_entry_is_a_miss(self, cache_dir):
+        """A leftover JSON-list entry keys differently and never decodes."""
+        configure_trace_cache(None)
+        fresh = compile_app_trace("em3d", num_procs=8, iterations=3)
+        configure_trace_cache(cache_dir)
+        point = trace_point("em3d", 8, 3, 1999, 7)
+        ResultStore(cache_dir, fingerprint={"trace_schema": 1}, compact=True).store(
+            point,
+            {
+                "num_nodes": 8,
+                "kinds": fresh.kinds.tolist(),
+                "nodes": fresh.nodes.tolist(),
+                "blocks": fresh.blocks.tolist(),
+                "epochs": fresh.epochs.tolist(),
+            },
+        )
+        assert trace_store().load_entry(point) is MISS
+        trace, delta = _counters_delta(
+            lambda: compile_app_trace("em3d", num_procs=8, iterations=3)
+        )
+        assert delta == (0, 1)
+        assert trace.content_hash() == fresh.content_hash()
 
     def test_trace_kind_is_not_a_runner_kind(self):
         """Traces are storage-only: no runner, so never servable."""

@@ -9,6 +9,7 @@ from repro.common.types import MessageKind
 from repro.protocol.emulator import ProtocolEmulator
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 from repro.trace import KIND_CODES, KIND_TO_CODE, CompiledTrace
+from tests.protocol.reference_emulator import reference_stats, reference_stream
 
 
 def _compile(scripts, num_nodes=8, race_seed=7):
@@ -37,35 +38,30 @@ class TestCompile:
     ):
         scripts = [producer_consumer_script, migratory_script]
         trace = _compile(scripts)
-        reference = ProtocolEmulator(DeterministicRng(7))
-        expected = [
-            message
-            for _block, messages in reference.run(scripts)
-            for message in messages
-        ]
+        expected = reference_stream(DeterministicRng(7), scripts)
         assert list(trace.to_messages()) == expected
 
     def test_app_stream_matches_run(self):
+        """The decoded app trace and run() both match the oracle."""
         workload = make_app("em3d", num_procs=8, iterations=4).build()
         scripts = workload.block_scripts()
         trace = _compile(scripts)
-        reference = ProtocolEmulator(DeterministicRng(7))
-        expected = [
-            message
-            for _block, messages in reference.run(scripts)
-            for message in messages
-        ]
+        expected = reference_stream(DeterministicRng(7), scripts)
         assert list(trace.to_messages()) == expected
+        replaying = ProtocolEmulator(DeterministicRng(7))
+        assert [
+            message
+            for _block, messages in replaying.run(scripts)
+            for message in messages
+        ] == expected
 
     def test_emulator_stats_match_run(self):
-        """compile() feeds the same per-kind message counters as run()."""
+        """compile() feeds the oracle's per-kind message counters."""
         workload = make_app("ocean", num_procs=8, iterations=3).build()
         compiling = ProtocolEmulator(DeterministicRng(7))
         compiling.compile(workload.block_scripts(), num_nodes=8)
-        replaying = ProtocolEmulator(DeterministicRng(7))
-        for _block, _messages in replaying.run(workload.block_scripts()):
-            pass
-        assert compiling.stats.as_dict() == replaying.stats.as_dict()
+        expected = reference_stream(DeterministicRng(7), workload.block_scripts())
+        assert compiling.stats.as_dict() == reference_stats(expected)
 
     def test_block_starts_and_epochs(self):
         scripts = [
@@ -115,6 +111,14 @@ class TestSerialization:
                 num_nodes=base.num_nodes, **mutated
             )
             assert other.content_hash() != base.content_hash(), column
+        wider = CompiledTrace.from_columns(
+            kinds=base.kinds,
+            nodes=base.nodes,
+            blocks=base.blocks,
+            epochs=base.epochs,
+            num_nodes=base.num_nodes + 1,
+        )
+        assert wider.content_hash() != base.content_hash(), "num_nodes"
 
     def test_compile_is_deterministic(self):
         workload = make_app("barnes", num_procs=8, iterations=3).build()
