@@ -7,11 +7,12 @@ locally via::
     PYTHONPATH=src python scripts/perf_smoke.py
 
 **Accuracy gate** (PR 3): the vectorized trace pipeline vs the
-per-message reference predictors, over a fixed slice of the Figure 7
-grid (every app at reduced iterations).  Both engines get their trace
-from the same columnar emulator (``ProtocolEmulator.compile``; the
-reference engine decodes it into messages), so the gate compares
-predictor scoring and the trace decode.
+per-message reference predictors, over a fixed slice of the Figure 8
+grid: every app at reduced iterations, at each of Figure 8's history
+depths (1, 2, 4), so multi-token history keys are exercised too.  Both
+engines get their trace from the same columnar emulator
+(``ProtocolEmulator.compile``; the reference engine decodes it into
+messages), so the gate compares predictor scoring and the trace decode.
 
 **Timing gate** (PR 4, extended PR 8): all three timing engines vs the
 heapq reference, over a Figure 9 slice (three apps, Base-DSM +
@@ -61,7 +62,8 @@ GRID_ITERATIONS = {
     "unstructured": 8,
 }
 NUM_PROCS = 16
-DEPTH = 1
+#: Figure 8's history depths.
+DEPTHS = (1, 2, 4)
 
 #: Fail when a fast path is not at least this many times faster.
 THRESHOLD = 1.0
@@ -92,13 +94,14 @@ def run_grid(engine: str) -> float:
     for _ in range(ATTEMPTS):
         started = time.perf_counter()
         for app, iterations in GRID_ITERATIONS.items():
-            run_predictors(
-                app,
-                depth=DEPTH,
-                num_procs=NUM_PROCS,
-                iterations=iterations,
-                engine=engine,
-            )
+            for depth in DEPTHS:
+                run_predictors(
+                    app,
+                    depth=depth,
+                    num_procs=NUM_PROCS,
+                    iterations=iterations,
+                    engine=engine,
+                )
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -109,7 +112,7 @@ def accuracy_gate() -> int:
     speedup = reference / vectorized if vectorized else float("inf")
     print(
         f"perf-smoke[accuracy]: {len(GRID_ITERATIONS)} apps x 3 predictors, "
-        f"num_procs={NUM_PROCS}, depth={DEPTH}"
+        f"num_procs={NUM_PROCS}, depths={DEPTHS}"
     )
     print(f"  reference  engine: {reference:7.2f}s")
     print(f"  vectorized engine: {vectorized:7.2f}s")

@@ -98,9 +98,20 @@ def validate_point_params(kind: str, params: Mapping[str, Any]) -> None:
         validator(params)
 
 
+def _validate_app(params: Mapping[str, Any]) -> None:
+    from repro.apps.registry import APP_NAMES
+
+    app = params.get("app")
+    if app not in APP_NAMES:
+        raise ValueError(
+            f"unknown application {app!r} (known: {', '.join(APP_NAMES)})"
+        )
+
+
 @register_validator("accuracy")
 def _validate_accuracy(params: Mapping[str, Any]) -> None:
     from repro.eval.accuracy import ENGINES
+    from repro.predictors import PREDICTOR_CLASSES
 
     engine = params.get("engine", "vectorized")
     if engine not in ENGINES:
@@ -108,6 +119,25 @@ def _validate_accuracy(params: Mapping[str, Any]) -> None:
             f"unknown accuracy engine {engine!r} "
             f"(known: {', '.join(ENGINES)})"
         )
+    _validate_app(params)
+    predictors = params.get("predictors", ())
+    if not isinstance(predictors, (list, tuple)):
+        raise ValueError(
+            f"predictors must be a list of predictor names, not {predictors!r}"
+        )
+    known = sorted(PREDICTOR_CLASSES)  # a list: unhashable names just miss
+    for name in predictors:
+        if name not in known:
+            raise ValueError(
+                f"unknown predictor {name!r} (known: {', '.join(known)})"
+            )
+    depth = params.get("depth", 1)
+    try:
+        valid_depth = int(depth) >= 1  # the runner's own conversion
+    except (TypeError, ValueError):
+        valid_depth = False
+    if not valid_depth:
+        raise ValueError(f"history depth must be an integer >= 1, not {depth!r}")
 
 
 @register_validator("speculation")
@@ -120,6 +150,7 @@ def _validate_speculation(params: Mapping[str, Any]) -> None:
             f"unknown timing engine {engine!r} "
             f"(known: {', '.join(ENGINES)})"
         )
+    _validate_app(params)
 
 
 def runner_kinds() -> tuple[str, ...]:

@@ -17,6 +17,11 @@ the columns, and :meth:`CompiledTrace.to_messages` decodes the identical
 per-message stream for the reference predictors — the two views are the
 same trace by construction, which is what the equivalence golden tests
 lean on.
+
+What every scoring pass needs besides the columns — block segment
+boundaries, each message's segment ordinal and position, and the
+request-only sub-trace — is derived lazily, once per trace instance,
+and shared by all predictors and depths scored on it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import binascii
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -66,8 +71,8 @@ class CompiledTrace:
     blocks: np.ndarray  # int64 block ids, block-major
     epochs: np.ndarray  # int32 epoch ordinal within the block script
     num_nodes: int
-    #: Cached segment boundaries; computed lazily by ``block_starts``.
-    _starts: list = field(default_factory=list, repr=False)
+    #: Derived columns by name, filled lazily by ``_derive``.
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return int(self.kinds.shape[0])
@@ -92,24 +97,66 @@ class CompiledTrace:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def _derive(self, name: str, compute: Callable[[], Any]) -> Any:
+        if name not in self._derived:
+            self._derived[name] = compute()
+        return self._derived[name]
+
     @property
     def block_starts(self) -> np.ndarray:
         """Index of each block segment's first message (ascending)."""
-        if not self._starts:
+
+        def compute() -> np.ndarray:
             if len(self) == 0:
-                starts = np.empty(0, dtype=np.int64)
-            else:
-                change = np.flatnonzero(self.blocks[1:] != self.blocks[:-1]) + 1
-                starts = np.concatenate(([0], change))
-            self._starts.append(starts)
-        return self._starts[0]
+                return np.empty(0, dtype=np.int64)
+            change = np.flatnonzero(self.blocks[1:] != self.blocks[:-1]) + 1
+            return np.concatenate(([0], change))
+
+        return self._derive("block_starts", compute)
 
     def block_count(self) -> int:
         return int(self.block_starts.shape[0])
 
+    @property
+    def segment_ordinals(self) -> np.ndarray:
+        """For each message, the ordinal of its block segment (int64)."""
+
+        def compute() -> np.ndarray:
+            ordinals = np.zeros(len(self), dtype=np.int64)
+            ordinals[self.block_starts[1:]] = 1
+            return np.cumsum(ordinals, out=ordinals)
+
+        return self._derive("segment_ordinals", compute)
+
+    @property
+    def segment_positions(self) -> np.ndarray:
+        """For each message, its 0-based position within its block."""
+
+        def compute() -> np.ndarray:
+            first = self.block_starts[self.segment_ordinals]
+            return np.arange(len(self), dtype=np.int64) - first
+
+        return self._derive("segment_positions", compute)
+
     def request_mask(self) -> np.ndarray:
         """Boolean mask selecting the three request kinds."""
         return self.kinds <= MAX_REQUEST_CODE
+
+    @property
+    def requests(self) -> "CompiledTrace":
+        """The request messages only, as a trace of their own (cached)."""
+
+        def compute() -> "CompiledTrace":
+            mask = self.request_mask()
+            return CompiledTrace(
+                kinds=self.kinds[mask],
+                nodes=self.nodes[mask],
+                blocks=self.blocks[mask],
+                epochs=self.epochs[mask],
+                num_nodes=self.num_nodes,
+            )
+
+        return self._derive("requests", compute)
 
     # ------------------------------------------------------------------
     # the reference view

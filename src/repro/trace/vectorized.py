@@ -7,18 +7,20 @@ that a two-level predictor's pattern table always holds "the token that
 followed this history the last time it occurred", so scoring reduces to
 a previous-occurrence join:
 
-1. encode each message (or VMSP event) as a dense integer token,
-2. form each position's history key — the ``depth`` preceding tokens of
-   the same block — as a dense group id,
+1. encode each message (or VMSP event) as a small integer token,
+2. pack each position's history key — its block segment followed by the
+   ``depth`` preceding tokens of the same block — into one int64,
 3. for every position, find the latest earlier position with the same
-   group id (one stable argsort); the token observed *there* is exactly
-   the pattern-table entry consulted *here*,
+   key (one stable argsort); the token observed *there* is exactly the
+   pattern-table entry consulted *here*,
 4. compare predicted vs observed tokens in bulk.
 
 VMSP adds an event-compilation step (read runs fold into reader
-bit-vectors, exactly as ``Vmsp._close_run`` does), after which the same
-previous-occurrence join applies to the event stream, and individual
-reads are scored against their run's predicted vector by bitmask tests.
+bit-vectors, exactly as ``Vmsp._close_run`` does).  Events are formed in
+request-stream order, which is already the order in which the reference
+predictor commits them, so the same previous-occurrence join applies to
+the event stream, and individual reads are scored against their run's
+predicted vector by bitmask tests.
 
 The contract with the reference implementation is **bit-identical
 accuracy counters** (observed / predicted / correct / ignored) and
@@ -47,6 +49,9 @@ _READ_CODE = KIND_TO_CODE[MessageKind.READ]
 #: Widest node id a uint64 reader bitmask can represent.
 _MAX_VECTOR_NODE = 63
 
+#: Packed history keys must stay below this (they are int64).
+_KEY_LIMIT = 2**63
+
 
 @dataclass(frozen=True, slots=True)
 class TraceEvaluation:
@@ -69,105 +74,85 @@ class TraceEvaluation:
 
 
 # ----------------------------------------------------------------------
-# primitive passes
+# the previous-occurrence join
 # ----------------------------------------------------------------------
-def _dense_groups(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Dense int64 ids for the row tuples formed by parallel columns."""
-    _, group = np.unique(np.asarray(first), return_inverse=True)
-    group = group.astype(np.int64, copy=False)
-    for column in rest:
-        _, inverse = np.unique(np.asarray(column), return_inverse=True)
-        if inverse.size == 0:
-            continue
-        # Re-densify after each combine so the product never overflows.
-        group = group * np.int64(inverse.max() + 1) + inverse.astype(np.int64)
-        _, group = np.unique(group, return_inverse=True)
-        group = group.astype(np.int64, copy=False)
-    return group
-
-
-def _previous_occurrence(groups: np.ndarray) -> np.ndarray:
-    """For each position, the latest earlier position sharing its group.
-
-    Returns -1 where no earlier occurrence exists.  One stable argsort:
-    equal group ids end up adjacent in index order, so each element's
-    predecessor in the sorted run is its previous occurrence.
-    """
-    n = groups.shape[0]
-    prev = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return prev
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    same = sorted_groups[1:] == sorted_groups[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
-    """0-based position of each element within its contiguous segment."""
-    n = segment_ids.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.concatenate(
-        ([0], np.flatnonzero(segment_ids[1:] != segment_ids[:-1]) + 1)
-    )
-    lengths = np.diff(np.concatenate((starts, [n])))
-    return np.arange(n, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def _segment_count(segment_ids: np.ndarray) -> int:
-    n = segment_ids.shape[0]
-    if n == 0:
-        return 0
-    return 1 + int((segment_ids[1:] != segment_ids[:-1]).sum())
-
-
-def _table_join(
-    blocks: np.ndarray, tokens: np.ndarray, depth: int
-) -> tuple[np.ndarray, int, int]:
+def _history_join(
+    ordinals: np.ndarray,
+    positions: np.ndarray,
+    tokens: np.ndarray,
+    radix: int,
+    depth: int,
+) -> tuple[np.ndarray, int]:
     """The previous-occurrence join behind two-level scoring.
 
-    Returns ``(entry_source, pattern_entries, allocated_blocks)`` where
-    ``entry_source[i]`` is the position whose token is the pattern-table
-    entry consulted at position ``i`` (-1 when the history is still
-    short or the table has no entry — both UNPREDICTED).  Positions with
-    fewer than ``depth`` predecessors in their block neither consult nor
-    populate the table, mirroring ``DirectoryPredictor._score/_learn``.
+    ``ordinals``/``positions`` place each token in its block segment;
+    ``tokens`` are integers below ``radix``.  Returns
+    ``(entry_source, pattern_entries)`` where ``entry_source[i]`` is the
+    position whose token is the pattern-table entry consulted at
+    position ``i`` (-1 when the history is still short or the table has
+    no entry — both UNPREDICTED).  Positions with fewer than ``depth``
+    predecessors in their block neither consult nor populate the table,
+    mirroring ``DirectoryPredictor._score/_learn``.
+
+    Each history key — the segment ordinal followed by the ``depth``
+    preceding tokens — is packed into one int64.  When the next
+    multiply could overflow, the partial key is re-ranked to dense ids
+    first (only unusually deep histories or wide systems get there).
+    One stable argsort then puts equal keys next to each other in index
+    order: each element's predecessor in its run is its previous
+    occurrence, and the number of runs is the pattern-table size.
     """
-    n = tokens.shape[0]
-    entry_source = np.full(n, -1, dtype=np.int64)
-    positions = _segment_positions(blocks)
+    entry_source = np.full(tokens.shape[0], -1, dtype=np.int64)
     valid = np.flatnonzero(positions >= depth)
-    pattern_entries = 0
-    if valid.size:
-        columns = [blocks[valid]]
-        columns.extend(tokens[valid - k] for k in range(1, depth + 1))
-        groups = _dense_groups(*columns)
-        pattern_entries = int(groups.max()) + 1
-        prev = _previous_occurrence(groups)
-        found = prev >= 0
-        entry_source[valid[found]] = valid[prev[found]]
-    return entry_source, pattern_entries, _segment_count(blocks)
+    if not valid.size:
+        return entry_source, 0
+    key = ordinals[valid]
+    span = int(key[-1]) + 1  # ordinals ascend, so the last is the largest
+    for back in range(1, depth + 1):
+        if span * radix > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * radix + tokens[valid - back]
+        span *= radix
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    entry_source[valid[order[1:][same]]] = valid[order[:-1][same]]
+    return entry_source, int(valid.size - same.sum())
+
+
+def _empty(name: str, depth: int, ignored: int) -> TraceEvaluation:
+    return TraceEvaluation(
+        predictor=name,
+        depth=depth,
+        stats=PredictionStats(ignored=ignored),
+        pattern_entries=0,
+        allocated_blocks=0,
+    )
 
 
 # ----------------------------------------------------------------------
 # flat evaluators (Cosmos, MSP)
 # ----------------------------------------------------------------------
 def _evaluate_flat(
-    name: str,
-    depth: int,
-    blocks: np.ndarray,
-    kinds: np.ndarray,
-    nodes: np.ndarray,
-    ignored: int,
+    name: str, depth: int, trace: CompiledTrace, ignored: int
 ) -> TraceEvaluation:
-    tokens = _dense_groups(kinds, nodes)
-    entry_source, pattern_entries, allocated = _table_join(blocks, tokens, depth)
+    if len(trace) == 0:
+        return _empty(name, depth, ignored)
+    # Token = kind * radix_nodes + node: small, dense enough, no rank step.
+    radix_nodes = int(trace.nodes.max()) + 1
+    tokens = trace.kinds.astype(np.int64) * radix_nodes + trace.nodes
+    entry_source, pattern_entries = _history_join(
+        trace.segment_ordinals,
+        trace.segment_positions,
+        tokens,
+        (int(trace.kinds.max()) + 1) * radix_nodes,
+        depth,
+    )
     scored = np.flatnonzero(entry_source >= 0)
     correct = int((tokens[entry_source[scored]] == tokens[scored]).sum())
     stats = PredictionStats(
-        observed=int(tokens.shape[0]),
+        observed=len(trace),
         predicted=int(scored.shape[0]),
         correct=correct,
         ignored=ignored,
@@ -177,26 +162,18 @@ def _evaluate_flat(
         depth=depth,
         stats=stats,
         pattern_entries=pattern_entries,
-        allocated_blocks=allocated,
+        allocated_blocks=trace.block_count(),
     )
 
 
 def _evaluate_cosmos(trace: CompiledTrace, depth: int) -> TraceEvaluation:
-    return _evaluate_flat(
-        "Cosmos", depth, trace.blocks, trace.kinds, trace.nodes, ignored=0
-    )
+    return _evaluate_flat("Cosmos", depth, trace, ignored=0)
 
 
 def _evaluate_msp(trace: CompiledTrace, depth: int) -> TraceEvaluation:
-    requests = trace.request_mask()
-    ignored = int(len(trace) - requests.sum())
+    requests = trace.requests
     return _evaluate_flat(
-        "MSP",
-        depth,
-        trace.blocks[requests],
-        trace.kinds[requests],
-        trace.nodes[requests],
-        ignored=ignored,
+        "MSP", depth, requests, ignored=len(trace) - len(requests)
     )
 
 
@@ -204,149 +181,77 @@ def _evaluate_msp(trace: CompiledTrace, depth: int) -> TraceEvaluation:
 # VMSP: event compilation + vector-aware read scoring
 # ----------------------------------------------------------------------
 def _evaluate_vmsp(trace: CompiledTrace, depth: int) -> TraceEvaluation:
-    requests = trace.request_mask()
-    ignored = int(len(trace) - requests.sum())
-    blocks = trace.blocks[requests]
-    kinds = trace.kinds[requests]
-    nodes = trace.nodes[requests]
-    observed = int(blocks.shape[0])
-    if observed == 0:
-        return TraceEvaluation(
-            predictor="VMSP",
-            depth=depth,
-            stats=PredictionStats(ignored=ignored),
-            pattern_entries=0,
-            allocated_blocks=0,
-        )
+    requests = trace.requests
+    ignored = len(trace) - len(requests)
+    if len(requests) == 0:
+        return _empty("VMSP", depth, ignored)
+    nodes = requests.nodes.astype(np.uint64)
     if int(nodes.max()) > _MAX_VECTOR_NODE:
         # Reader bitmasks are uint64; wider systems take the reference
         # path (correct, just not vectorized).
         return evaluate_trace_reference(trace, "VMSP", depth)
 
-    is_write = kinds != _READ_CODE
-    # Per-block write ordinal: for writes, how many writes precede them
-    # in their block (their ordinal); for reads, their run id.
-    cumulative = np.cumsum(is_write.astype(np.int64))
-    positions = _segment_positions(blocks)
-    segment_start = np.arange(blocks.shape[0], dtype=np.int64) - positions
-    base = cumulative[segment_start] - is_write[segment_start]
-    in_block = cumulative - base
-
-    # --- write events: one per write/upgrade message -------------------
-    write_index = np.flatnonzero(is_write)
-    write_blocks = blocks[write_index]
-    write_ordinal = in_block[write_index] - 1
-    write_values = (
-        kinds[write_index].astype(np.uint64) * np.uint64(_MAX_VECTOR_NODE + 1)
-        + nodes[write_index].astype(np.uint64)
-    )
-
-    # --- vector events: one per read run ------------------------------
-    read_index = np.flatnonzero(~is_write)
-    read_blocks = blocks[read_index]
-    read_runs = in_block[read_index]
-    read_nodes = nodes[read_index]
-    n_reads = int(read_index.shape[0])
-    if n_reads:
-        boundary = np.flatnonzero(
-            (read_blocks[1:] != read_blocks[:-1])
-            | (read_runs[1:] != read_runs[:-1])
-        )
-        run_starts = np.concatenate(([0], boundary + 1))
-        run_lengths = np.diff(np.concatenate((run_starts, [n_reads])))
-        masks = np.uint64(1) << read_nodes.astype(np.uint64)
-        run_vectors = np.bitwise_or.reduceat(masks, run_starts)
-        run_blocks = read_blocks[run_starts]
-        run_ordinal = read_runs[run_starts]
-        run_of_read = np.repeat(
-            np.arange(run_starts.shape[0], dtype=np.int64), run_lengths
-        )
-    else:
-        run_starts = np.empty(0, dtype=np.int64)
-        run_vectors = np.empty(0, dtype=np.uint64)
-        run_blocks = np.empty(0, dtype=np.int64)
-        run_ordinal = np.empty(0, dtype=np.int64)
-        run_of_read = np.empty(0, dtype=np.int64)
-    n_runs = int(run_starts.shape[0])
-    n_writes = int(write_index.shape[0])
-
-    # --- the event stream ---------------------------------------------
+    # --- the event stream, in trace order -----------------------------
     # Per block, the reference predictor's history evolves as:
-    #   [V_r] W_r  [V_r+1] W_r+1 ... [V_trailing(flush)]
-    # i.e. run r's vector commits immediately before write #r (or at
-    # flush for a trailing run).  Sort key (block, ordinal, vector<write)
-    # reproduces exactly that order.
-    event_blocks = np.concatenate((write_blocks, run_blocks))
-    event_ordinal = np.concatenate((write_ordinal, run_ordinal))
-    event_tie = np.concatenate(
-        (np.ones(n_writes, dtype=np.int8), np.zeros(n_runs, dtype=np.int8))
-    )
-    event_tag = np.concatenate(
-        (np.zeros(n_writes, dtype=np.int8), np.ones(n_runs, dtype=np.int8))
-    )
-    event_value = np.concatenate((write_values, run_vectors))
-    order = np.lexsort((event_tie, event_ordinal, event_blocks))
-    event_blocks = event_blocks[order]
-    event_tag = event_tag[order]
-    event_value = event_value[order]
-    position_of = np.empty(order.shape[0], dtype=np.int64)
-    position_of[order] = np.arange(order.shape[0], dtype=np.int64)
+    #   [V_0] W_0  [V_1] W_1 ... [V_trailing(flush)]
+    # i.e. a read run's vector commits immediately before the write that
+    # closes it (or at flush for a trailing run).  That is the order in
+    # which the events *start* in the request stream, so each write, and
+    # each maximal run of reads within a block, is one event.
+    is_write = requests.kinds != _READ_CODE
+    block_start = requests.segment_positions == 0
+    start = is_write | block_start
+    start[1:] |= is_write[:-1]
+    event_starts = np.flatnonzero(start)
+    event_of = np.cumsum(start) - 1
+    # A read contributes its reader bit, a write its (kind, node) code.
+    codes = requests.kinds.astype(np.uint64) * np.uint64(_MAX_VECTOR_NODE + 1)
+    values = np.where(is_write, codes + nodes, np.uint64(1) << nodes)
+    event_values = np.bitwise_or.reduceat(values, event_starts)
+    is_vector = ~is_write[event_starts]
+    distinct, ranks = np.unique(event_values, return_inverse=True)
+    event_tokens = ranks * 2 + is_vector
 
-    event_tokens = _dense_groups(event_tag, event_value)
-    entry_source, pattern_entries, allocated = _table_join(
-        event_blocks, event_tokens, depth
-    )
-
-    # --- score writes: ordinary two-level token comparison ------------
-    write_events = position_of[:n_writes]
-    write_entry = entry_source[write_events]
-    write_scored = write_entry >= 0
-    predicted_w = int(write_scored.sum())
-    correct_w = int(
-        (
-            event_tokens[write_entry[write_scored]]
-            == event_tokens[write_events[write_scored]]
-        ).sum()
+    event_ordinals = requests.segment_ordinals[event_starts]
+    first_event = np.flatnonzero(block_start[event_starts])
+    event_positions = np.arange(event_starts.shape[0]) - first_event[event_ordinals]
+    entry_source, pattern_entries = _history_join(
+        event_ordinals, event_positions, event_tokens, 2 * distinct.shape[0], depth
     )
 
-    # --- score reads against their run's predicted vector -------------
-    # Every read in run r is scored against the table entry its block's
-    # history selected at run start — which is the entry the run's own
-    # vector event sees, since nothing learns mid-run.
-    run_events = position_of[n_writes:]
-    run_entry = entry_source[run_events]
-    read_entry = run_entry[run_of_read]
-    read_predicted = read_entry >= 0
-    predicted_r = int(read_predicted.sum())
-    entry_is_vector = np.zeros(read_entry.shape[0], dtype=bool)
-    in_vector = np.zeros(read_entry.shape[0], dtype=bool)
-    scored = np.flatnonzero(read_predicted)
-    if scored.size:
-        sources = read_entry[scored]
-        entry_is_vector[scored] = event_tag[sources] == 1
-        vector_bits = (
-            event_value[sources] >> read_nodes[scored].astype(np.uint64)
-        ) & np.uint64(1)
-        in_vector[scored] = vector_bits.astype(bool)
+    # --- score every request against its event's table entry ----------
+    # A write is an ordinary two-level token comparison.  Every read in
+    # a run is scored against the entry its block's history selected at
+    # run start — the entry the run's own vector event sees, since
+    # nothing learns mid-run — and is correct when that entry is a
+    # vector holding the reader.
+    source = entry_source[event_of]
+    hit = np.flatnonzero(source >= 0)
+    source = source[hit]
+    predicted_tokens = event_tokens[source]
+    in_vector = (predicted_tokens & 1).astype(bool) & (
+        (event_values[source] >> nodes[hit]) & np.uint64(1)
+    ).astype(bool)
+    correct = np.where(
+        is_write[hit], predicted_tokens == event_tokens[event_of[hit]], in_vector
+    )
     # "node not in run": only a node's first read of its run can be
     # correct (the reference tracks the open run as a set).  Emulator
-    # traces never repeat a reader within a run, but the check is part
-    # of the scoring contract, so keep it exact.
-    first_in_run = np.ones(n_reads, dtype=bool)
-    if n_reads > 1:
-        dup_order = np.lexsort((np.arange(n_reads), read_nodes, run_of_read))
-        ordered_runs = run_of_read[dup_order]
-        ordered_nodes = read_nodes[dup_order]
-        duplicate = (ordered_runs[1:] == ordered_runs[:-1]) & (
-            ordered_nodes[1:] == ordered_nodes[:-1]
-        )
-        first_in_run[dup_order[1:][duplicate]] = False
-    correct_r = int((entry_is_vector & in_vector & first_in_run).sum())
+    # traces never repeat a reader within a run — every run's popcount
+    # equals its length — but the check is part of the scoring contract.
+    reads = int((~is_write).sum())
+    if int(np.bitwise_count(event_values[is_vector]).sum()) < reads:
+        # A write is alone in its event, so only reads can repeat a key.
+        reader = event_of * (_MAX_VECTOR_NODE + 1) + requests.nodes
+        order = np.argsort(reader, kind="stable")
+        repeat = np.zeros(len(requests), dtype=bool)
+        repeat[order[1:]] = reader[order[1:]] == reader[order[:-1]]
+        correct &= ~repeat[hit]
 
     stats = PredictionStats(
-        observed=observed,
-        predicted=predicted_w + predicted_r,
-        correct=correct_w + correct_r,
+        observed=len(requests),
+        predicted=int(hit.shape[0]),
+        correct=int(correct.sum()),
         ignored=ignored,
     )
     return TraceEvaluation(
@@ -354,7 +259,7 @@ def _evaluate_vmsp(trace: CompiledTrace, depth: int) -> TraceEvaluation:
         depth=depth,
         stats=stats,
         pattern_entries=pattern_entries,
-        allocated_blocks=allocated,
+        allocated_blocks=requests.block_count(),
     )
 
 

@@ -236,6 +236,31 @@ class TestSweepSubcommand:
         assert "reference" in captured.err  # the menu of valid engines
         assert not list(tmp_path.glob(f"{kind}/*.json"))
 
+    @pytest.mark.parametrize(
+        "kind, settings, menu",
+        [
+            ("accuracy", ["app=nope"], "em3d"),
+            ("speculation", ["app=nope"], "em3d"),
+            ("accuracy", ["app=em3d", 'predictors=["Foo"]'], "VMSP"),
+            ("accuracy", ["app=em3d", "predictors=MSP"], "list"),
+            ("accuracy", ["app=em3d", "depth=0"], ">= 1"),
+        ],
+    )
+    def test_bad_accuracy_or_speculation_params_fail_fast(
+        self, capsys, tmp_path, kind, settings, menu
+    ):
+        """Unknown apps/predictors and depth < 1 die before any point
+        runs (exit 2), instead of erroring mid-compute."""
+        argv = ["sweep", "--kind", kind, "--axis", "iterations=2"]
+        for setting in settings:
+            argv += ["--set", setting]
+        argv += ["--cache-dir", str(tmp_path)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert menu in captured.err
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_valid_engine_accepted(self, capsys, tmp_path):
         argv = [
             "sweep",

@@ -300,6 +300,29 @@ class TestPointEndpoint:
 
         run_with_service(tmp_path, scenario)
 
+    @pytest.mark.parametrize(
+        "query, menu",
+        [
+            ("kind=accuracy&app=nope", ("em3d", "ocean")),
+            ("kind=speculation&app=nope", ("em3d", "ocean")),
+            ("kind=accuracy&app=em3d&predictors=%5B%22Foo%22%5D", ("MSP", "VMSP")),
+            ("kind=accuracy&app=em3d&predictors=MSP", ("list",)),
+            ("kind=accuracy&app=em3d&depth=0", (">= 1",)),
+        ],
+    )
+    def test_unknown_app_predictor_or_bad_depth_is_400(self, tmp_path, query, menu):
+        """Accuracy/speculation parameters that can never run fail fast,
+        before the point is queued or a trace is compiled and cached."""
+
+        async def scenario(service):
+            status, body = await http_request(service.port, f"/v1/point?{query}")
+            assert status == 400
+            for word in menu:
+                assert word in body["error"]
+            assert not list((tmp_path / "cache").rglob("*.json"))
+
+        run_with_service(tmp_path, scenario)
+
     def test_runner_failure_is_500(self, tmp_path):
         async def scenario(service):
             status, body = await http_request(

@@ -16,7 +16,7 @@ from repro.common.rng import DeterministicRng
 from repro.protocol.emulator import ProtocolEmulator
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 from repro.eval.accuracy import run_predictors
-from repro.trace import evaluate_trace, evaluate_trace_reference
+from repro.trace import evaluate_trace, evaluate_trace_reference, vectorized
 
 PREDICTORS = ("Cosmos", "MSP", "VMSP")
 
@@ -143,8 +143,14 @@ class TestEdgeCases:
         for predictor in PREDICTORS:
             assert_equivalent(trace, predictor, depth=1)
 
-    def test_sixty_four_nodes_stays_vectorized(self):
+    def test_sixty_four_nodes_stays_vectorized(self, monkeypatch):
         """Node id 63 is the last one a uint64 reader bitmask holds."""
+
+        def no_fallback(trace, predictor, depth=1):
+            raise AssertionError(f"{predictor} fell back to the reference path")
+
+        # The oracle below is this module's own binding, not the patched one.
+        monkeypatch.setattr(vectorized, "evaluate_trace_reference", no_fallback)
         script = BlockScript(block=1)
         for _ in range(6):
             script.append(WriteEpoch(writer=0))
