@@ -14,9 +14,9 @@ engines get their trace from the same columnar emulator
 (``ProtocolEmulator.compile``; the reference engine decodes it into
 messages), so the gate compares predictor scoring and the trace decode.
 
-**Timing gate** (PR 4, extended PR 8): all three timing engines vs the
-heapq reference, over a Figure 9 slice (three apps, Base-DSM +
-SWI-DSM):
+**Timing gate**: all three timing engines vs the
+heapq reference, over a Figure 9 slice (three apps, Base-DSM, FR-DSM
+and SWI-DSM):
 
 * ``fast`` — the calendar-queue engine;
 * ``compiled`` (cold) — the fast engine plus timing-trace recording
@@ -71,10 +71,11 @@ THRESHOLD = 1.0
 #: Timing runs per engine; the best one is kept (damps CI noise).
 ATTEMPTS = 2
 
-#: The Figure 9 slice: three apps on Base-DSM + SWI-DSM (the paper's
-#: baseline and its full speculative variant).
+#: The Figure 9 slice: three apps on the paper's baseline, its
+#: first-read variant (the per-read speculation path) and its full
+#: speculative variant.
 TIMING_GRID = {"appbt": 4, "barnes": 4, "ocean": 4}
-TIMING_MODES = ("Base-DSM", "SWI-DSM")
+TIMING_MODES = ("Base-DSM", "FR-DSM", "SWI-DSM")
 TIMING_ATTEMPTS = 3
 TIMING_THRESHOLD = 1.0
 #: The cached-replay claim: decoding + batch-applying a stored trace

@@ -105,11 +105,11 @@ class Appbt(SharedMemoryApp):
         read_race_probability: float = 0.3,
         compute_cycles: int = 250,
     ) -> None:
+        self.shared_face_blocks = shared_face_blocks
         super().__init__(num_procs=num_procs, iterations=iterations, seed=seed)
         if not 0.0 <= read_race_probability <= 1.0:
             raise ValueError("read_race_probability must be within [0, 1]")
         self.face_blocks = face_blocks
-        self.shared_face_blocks = shared_face_blocks
         self.edge_blocks = edge_blocks
         self.read_race_probability = read_race_probability
         self.compute_cycles = compute_cycles
@@ -117,6 +117,10 @@ class Appbt(SharedMemoryApp):
     @classmethod
     def default_iterations(cls) -> int:
         return 15
+
+    def min_procs(self) -> int:
+        # A shared face block's second reader is neither owner nor consumer.
+        return 3 if self.shared_face_blocks else 2
 
     # ------------------------------------------------------------------
     def _build(self, b: WorkloadBuilder) -> None:

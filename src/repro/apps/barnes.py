@@ -67,6 +67,10 @@ class Barnes(SharedMemoryApp):
     def default_iterations(cls) -> int:
         return 21
 
+    def min_procs(self) -> int:
+        # A tree block is read by at least two processors besides its owner.
+        return 3
+
     # ------------------------------------------------------------------
     def _build(self, b: WorkloadBuilder) -> None:
         rng = self.rng("tree")

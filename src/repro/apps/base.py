@@ -262,6 +262,10 @@ class SharedMemoryApp(abc.ABC):
     a :class:`WorkloadBuilder`.  ``iterations`` controls the number of
     outer iterations; ``paper_input`` / ``paper_iterations`` record the
     configuration the paper used (Table 2) for documentation purposes.
+
+    :meth:`min_procs` is the smallest machine the app's sharing pattern
+    fits on; subclasses whose minimum depends on their own parameters
+    set those before calling ``super().__init__``, which checks it.
     """
 
     #: Paper name, e.g. "em3d"; set by subclasses.
@@ -277,13 +281,22 @@ class SharedMemoryApp(abc.ABC):
         iterations: int | None = None,
         seed: int | str = 1999,
     ) -> None:
-        if num_procs < 2:
-            raise ValueError("need at least two processors")
+        minimum = self.min_procs()
+        if num_procs < minimum:
+            raise ValueError(
+                f"{self.name} needs at least {minimum} processors, got {num_procs}"
+            )
         self.num_procs = num_procs
         self.iterations = iterations if iterations is not None else self.default_iterations()
         if self.iterations < 1:
-            raise ValueError("need at least one iteration")
+            raise ValueError(
+                f"{self.name} needs at least one iteration, got {self.iterations}"
+            )
         self.seed = seed
+
+    def min_procs(self) -> int:
+        """Smallest processor count this app can be built for."""
+        return 2
 
     @classmethod
     def default_iterations(cls) -> int:

@@ -56,6 +56,10 @@ class Em3d(SharedMemoryApp):
     def default_iterations(cls) -> int:
         return 20
 
+    def min_procs(self) -> int:
+        # A node's value is read by up to three other processors.
+        return 4
+
     # ------------------------------------------------------------------
     def _build(self, b: WorkloadBuilder) -> None:
         rng = self.rng("graph")

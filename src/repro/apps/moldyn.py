@@ -54,6 +54,10 @@ class Moldyn(SharedMemoryApp):
     def default_iterations(cls) -> int:
         return 20
 
+    def min_procs(self) -> int:
+        # A position block has up to four consumers besides its owner.
+        return 5
+
     # ------------------------------------------------------------------
     def _build(self, b: WorkloadBuilder) -> None:
         rng = self.rng("interactions")

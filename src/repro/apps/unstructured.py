@@ -49,26 +49,28 @@ class Unstructured(SharedMemoryApp):
         read_race_probability: float = 0.6,
         compute_cycles: int = 16000,
     ) -> None:
-        super().__init__(num_procs=num_procs, iterations=iterations, seed=seed)
         if stable_visitors is None:
             # Half the machine participates every iteration, leaving
             # room for the four alternating visitors.
             stable_visitors = max(2, min(8, num_procs - 4))
-        if stable_visitors + 4 > num_procs:
-            raise ValueError(
-                "stable_visitors + 4 alternating visitors exceed the machine"
-            )
+        if stable_visitors < 1:
+            raise ValueError("need at least one stable visitor")
+        self.stable_visitors = stable_visitors
+        super().__init__(num_procs=num_procs, iterations=iterations, seed=seed)
         if not 0.0 <= read_race_probability <= 1.0:
             raise ValueError("read_race_probability must be within [0, 1]")
         self.mesh_blocks_per_proc = mesh_blocks_per_proc
         self.reduction_blocks_per_proc = reduction_blocks_per_proc
-        self.stable_visitors = stable_visitors
         self.read_race_probability = read_race_probability
         self.compute_cycles = compute_cycles
 
     @classmethod
     def default_iterations(cls) -> int:
         return 16
+
+    def min_procs(self) -> int:
+        # The stable visitors plus four alternating ones.
+        return self.stable_visitors + 4
 
     # ------------------------------------------------------------------
     def _build(self, b: WorkloadBuilder) -> None:

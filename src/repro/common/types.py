@@ -42,6 +42,12 @@ class MessageKind(enum.Enum):
     ACK = "ack"
     WRITEBACK = "writeback"
 
+    #: Members are singletons compared by identity, so the identity
+    #: hash agrees with equality — and, unlike ``Enum.__hash__``, it
+    #: runs in C, which every predictor history key containing a kind
+    #: pays on each dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_request(self) -> bool:
         """True for the three memory-request kinds MSPs predict."""

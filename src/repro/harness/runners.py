@@ -19,6 +19,9 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
+from repro.apps.registry import APP_NAMES, make_app
+from repro.common.config import SystemConfig
+
 PointRunner = Callable[[dict[str, Any]], Any]
 
 
@@ -98,14 +101,23 @@ def validate_point_params(kind: str, params: Mapping[str, Any]) -> None:
         validator(params)
 
 
-def _validate_app(params: Mapping[str, Any]) -> None:
-    from repro.apps.registry import APP_NAMES
-
+def _validate_app(params: Mapping[str, Any], num_procs: Any) -> None:
+    """The app exists and can be built for ``num_procs`` processors
+    and the point's ``iterations``."""
     app = params.get("app")
     if app not in APP_NAMES:
         raise ValueError(
             f"unknown application {app!r} (known: {', '.join(APP_NAMES)})"
         )
+    iterations = params.get("iterations")
+    for name, value in (("num_procs", num_procs), ("iterations", iterations)):
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool)
+        ):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    # Constructing (not building) the app applies its own checks: its
+    # minimum processor count and at least one iteration.
+    make_app(app, num_procs=num_procs, iterations=iterations)
 
 
 @register_validator("accuracy")
@@ -119,7 +131,7 @@ def _validate_accuracy(params: Mapping[str, Any]) -> None:
             f"unknown accuracy engine {engine!r} "
             f"(known: {', '.join(ENGINES)})"
         )
-    _validate_app(params)
+    _validate_app(params, params.get("num_procs", 16))
     predictors = params.get("predictors", ())
     if not isinstance(predictors, (list, tuple)):
         raise ValueError(
@@ -150,7 +162,30 @@ def _validate_speculation(params: Mapping[str, Any]) -> None:
             f"unknown timing engine {engine!r} "
             f"(known: {', '.join(ENGINES)})"
         )
-    _validate_app(params)
+    config = params.get("config") or {}
+    if not isinstance(config, Mapping):
+        raise ValueError(
+            f"config must be a mapping of SystemConfig fields, not {config!r}"
+        )
+    known = SystemConfig.__dataclass_fields__
+    for name in config:
+        if name not in known:
+            raise ValueError(
+                f"unknown config field {name!r} (known: {', '.join(known)})"
+            )
+    # The runner's own defaulting: num_nodes may stand in for num_procs.
+    num_procs = params.get("num_procs", config.get("num_nodes", 16))
+    _validate_app(params, num_procs)
+    if config.get("num_nodes", num_procs) != num_procs:
+        raise ValueError(
+            f"config num_nodes={config['num_nodes']!r} disagrees with "
+            f"num_procs={num_procs!r}"
+        )
+    if config:  # the defaults are valid for any count the app accepts
+        try:
+            SystemConfig(**{**config, "num_nodes": num_procs})
+        except TypeError as exc:
+            raise ValueError(f"bad config {dict(config)!r}: {exc}") from None
 
 
 def runner_kinds() -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.common.types import BlockId, Message, MessageKind, NodeId
@@ -36,20 +36,22 @@ class Outcome(enum.Enum):
         return f"Outcome.{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class ReadVector:
-    """VMSP's compact encoding of a read sequence: the set of readers."""
+class ReadVector(frozenset):
+    """VMSP's compact encoding of a read sequence: the set of readers.
 
-    readers: frozenset[NodeId]
+    A ``frozenset`` subclass, so hashing and equality — paid on every
+    history-key lookup — run in C.  Set operations on a vector return
+    plain frozensets; only VMSP builds vectors.
+    """
 
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.readers
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.readers)
+    @property
+    def readers(self) -> frozenset[NodeId]:
+        return self
 
     def __str__(self) -> str:
-        inner = ",".join(f"P{r}" for r in sorted(self.readers))
+        inner = ",".join(f"P{r}" for r in sorted(self))
         return f"<Read,{{{inner}}}>"
 
 
@@ -195,10 +197,10 @@ class DirectoryPredictor(abc.ABC):
     def _same_pattern(cls, a: Token, b: Token) -> bool:
         """Whether a relearned token confirms the previous prediction."""
         if isinstance(a, ReadVector) and isinstance(b, ReadVector):
-            union = a.readers | b.readers
+            union = a | b
             if not union:
                 return True
-            return len(a.readers & b.readers) / len(union) >= cls.VECTOR_SIMILARITY
+            return len(a & b) / len(union) >= cls.VECTOR_SIMILARITY
         return a == b
 
     def confidence(self, block: BlockId, history: HistoryKey) -> int:

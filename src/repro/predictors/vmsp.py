@@ -120,7 +120,7 @@ class Vmsp(DirectoryPredictor):
         run = self._runs.get(block)
         if not run:
             return
-        vector = ReadVector(frozenset(run))
+        vector = ReadVector(run)
         history = self._history.get(block, ())
         self._learn(block, history, vector)
         self._history[block] = (history + (vector,))[-self.depth :]
@@ -149,8 +149,8 @@ class Vmsp(DirectoryPredictor):
         history = self._history.get(block, ())
         if self.confidence(block, history) < 1:
             return None
-        run = self._runs.get(block, set())
-        return frozenset(predicted.readers - run)
+        run = self._runs.get(block)
+        return predicted - run if run else predicted
 
     def open_run(self, block: BlockId) -> frozenset[NodeId]:
         """Readers observed since the last write (the open sequence)."""

@@ -27,6 +27,7 @@ from heapq import heappush
 from repro.common.types import BlockId, DirectoryState, MessageKind, NodeId
 from repro.protocol.directory import BlockDirectory
 from repro.sim.caches import CacheState, SpeculativeEntry
+from repro.speculation.engine import NO_TARGETS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
@@ -317,18 +318,24 @@ class HomeDirectory:
 
 
 class FastHomeDirectory(HomeDirectory):
-    """The fast engine's home: same protocol, no per-event closures.
+    """The fast engine's home: same protocol, no per-request closures.
 
-    Every multi-hop transaction of the reference home allocates one
-    closure (plus cell objects) per hop; this subclass replaces each
-    hop with a prebound method scheduled as a ``(handler, args)`` event
-    through :meth:`Interconnect.send_call` /
-    :meth:`CalendarEventQueue.call`.  The scheduling *sequence* — which
-    events are inserted, at which cycles, in which order — is identical
-    to the reference home's, so the golden equivalence suite holds
-    bit-for-bit.  Transaction-level continuations (a write's ack join,
-    a read's post-writeback completion) are still closures: they are
-    per-request, not per-event, and each request spawns several events.
+    The scheduling *sequence* — which events are inserted, at which
+    cycles, in which order — is identical to the reference home's, so
+    the golden equivalence suite holds bit-for-bit.  What differs is
+    the cost per transaction:
+
+    * every hop is a prebound method scheduled as a ``(handler, args)``
+      event (:meth:`Interconnect.send_call`, :meth:`_after_access`),
+      never a closure;
+    * the :class:`BlockDirectory` read/write/recall transitions are
+      done inline, as :meth:`ProtocolEmulator.compile` does, so no
+      :class:`Transition` or holder frozenset is built per request;
+    * transaction continuations are ``(handler, args)`` pairs threaded
+      through the recall hops, and a write's acks join in
+      ``_joins[block]``.  Per-block serialization (``_busy``) admits
+      at most one transaction per block, so one slot per block is
+      enough.
     """
 
     def __init__(self, node: NodeId, machine: "Machine") -> None:
@@ -340,223 +347,229 @@ class FastHomeDirectory(HomeDirectory):
         # per event into direct references; all of them are fixed for
         # the life of the machine (Machine.__init__ builds engines and
         # nodes before homes for exactly this reason).
-        self._do_read_fn = self._do_read
-        self._do_write_fn = self._do_write
-        self._do_swi_recall_fn = self._do_swi_recall
+        self._handlers = {
+            "read": self._do_read,
+            "write": self._do_write,
+            "swi-recall": self._do_swi_recall,
+        }
+        self._read_complete_fn = self._read_complete
+        self._write_ack_fn = self._write_ack
+        self._swi_after_writeback_fn = self._swi_after_writeback
+        self._after_access_fn = self._after_access
         self._deliver_reply_fn = self._deliver_reply
         self._inv_at_sharer_fn = self._inv_at_sharer
         self._inv_after_access_fn = self._inv_after_access
         self._inv_ack_at_home_fn = self._inv_ack_at_home
         self._recall_at_owner_fn = self._recall_at_owner
         self._recall_after_access_fn = self._recall_after_access
-        self._recall_writeback_at_home_fn = self._recall_writeback_at_home
         self._deliver_spec_fn = self._deliver_spec
-        self._ev_call = machine.events.call
         self._q = machine.events  # always the calendar queue when fast
         self._send_call = machine.net.send_call
         self._local_access = machine.config.local_access_cycles
         self._machine_nodes = machine._nodes
         self._engine = machine.engine_for(node)
+        self._count_request = machine.count_request_fast
         self._spec_sent_key = {"fr": "spec_sent_fr", "swi": "spec_sent_swi"}
         self._stats_bump = machine.stats.bump
+        #: A write's ack join per block: [acks outstanding, request, data].
+        self._joins: dict[BlockId, list] = {}
 
-    # ------------------------------------------------------------------
-    # request intake
-    # ------------------------------------------------------------------
     def entry(self, block: BlockId) -> BlockDirectory:
         entry = self._entries.get(block)
         if entry is None:
             entry = self._entries[block] = BlockDirectory()
         return entry
 
-    def request(self, req: MemRequest) -> None:
-        block = req.block
-        queue = self._queues.get(block)
-        if queue is None:
-            queue = self._queues[block] = deque()
-        queue.append(req)
-        if block not in self._busy:
-            self._begin_next(block)
-
-    def _begin_next(self, block: BlockId) -> None:
-        queue = self._queues.get(block)
-        if not queue:
-            return
-        self._busy.add(block)
-        req = queue.popleft()
-        # Resolve the transaction handler at intake (the reference home
-        # branches in _dispatch, one event later — same cycle, same
-        # order, one call frame fewer here).
-        kind = req.kind
-        if kind == "read":
-            handler = self._do_read_fn
-        elif kind == "write":
-            handler = self._do_write_fn
-        elif kind == "swi-recall":
-            handler = self._do_swi_recall_fn
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown request kind {kind!r}")
-        # Directory lookup + memory access (inlined calendar insert).
+    def _after_access(self, handler: Callable, args: tuple) -> None:
+        """Schedule ``handler(*args)`` one memory access from now (the
+        inlined calendar insert of intake, access hops and writebacks)."""
         q = self._q
         time = q.now + self._local_access
-        buckets = q._buckets
-        bucket = buckets.get(time)
+        bucket = q._buckets.get(time)
         if bucket is None:
-            buckets[time] = [(handler, (req,))]
+            q._buckets[time] = [(handler, args)]
             heappush(q._times, time)
         else:
-            bucket.append((handler, (req,)))
+            bucket.append((handler, args))
         q._size += 1
 
     # ------------------------------------------------------------------
-    # transaction dispatch (fast copies: cached engine, same protocol)
+    # request intake: a non-busy block always has an empty queue
+    # ------------------------------------------------------------------
+    def request(self, req: MemRequest) -> None:
+        block = req.block
+        if block in self._busy:
+            queue = self._queues.get(block)
+            if queue is None:
+                queue = self._queues[block] = deque()
+            queue.append(req)
+            return
+        self._busy.add(block)
+        # Directory lookup + memory access; the handler is resolved at
+        # intake (the reference home branches in _dispatch, one event
+        # later — same cycle, same order).
+        self._after_access(self._handlers[req.kind], (req,))
+
+    def _finish(self, block: BlockId) -> None:
+        queue = self._queues.get(block)
+        if queue:
+            req = queue.popleft()
+            self._after_access(self._handlers[req.kind], (req,))
+        else:
+            self._busy.discard(block)
+
+    # ------------------------------------------------------------------
+    # transactions, with the BlockDirectory transitions inlined
     # ------------------------------------------------------------------
     def _do_read(self, req: MemRequest) -> None:
-        entry = self.entry(req.block)
+        block = req.block
         requester = req.requester
-        # Inlined entry.has_valid_copy(requester) — no frozenset built
-        # per read request.
+        entry = self.entry(block)
+        state = entry.state
         if (
             requester == entry.owner
-            if entry.state is DirectoryState.EXCLUSIVE
+            if state is DirectoryState.EXCLUSIVE
             else requester in entry.sharers
         ):
             # The requester was granted a speculative copy while this
             # request was in flight; just supply the data (the node
             # dropped the speculative message — Section 4.2).
-            self._reply_data(req, exclusive=False)
+            self._reply_data(req, False, True)
             return
-        transition = entry.read(req.requester)
-        self._m.count_request_fast(transition.request, req.block)
+        if state is DirectoryState.SHARED:
+            writeback_from = None
+            entry.sharers.add(requester)
+        else:  # Idle (no owner), or Exclusive elsewhere: owner writes back
+            writeback_from = entry.owner
+            entry.state = DirectoryState.SHARED
+            entry.sharers = {requester}
+            entry.owner = None
+        self._count_request(MessageKind.READ, block)
         engine = self._engine
-        fr_targets: frozenset[NodeId] = frozenset()
-        migratory = False
+        fr_targets, migratory = NO_TARGETS, False
         if engine is not None:
-            fr_targets = engine.observe_read(req.block, req.requester)
+            fr_targets = engine.observe_read(block, requester)
             # Migratory-write extension: a read predicted to be followed
-            # by the same processor's upgrade is granted exclusively.
+            # by the same processor's upgrade is granted exclusively if
+            # the requester (now a sharer) is the block's sole holder.
             migratory = engine.predicts_migratory_writer(
-                req.block, req.requester
-            ) and entry.holders() == frozenset({req.requester})
-
-        def complete() -> None:
-            if migratory and entry.promote_sole_sharer(req.requester):
-                engine.record_migratory_grant(req.block, req.requester)
-                self._reply_data(req, exclusive=True)
-                return
-            self._forward_spec(req.block, fr_targets, origin="fr")
-            self._reply_data(req, exclusive=False)
-
-        if transition.writeback_from is not None:
-            self._recall_writable(req.block, transition.writeback_from, complete)
+                block, requester
+            ) and len(entry.sharers) == 1
+        if writeback_from is None:
+            self._read_complete(req, fr_targets, migratory)
         else:
-            complete()
+            self._recall_writable(
+                block,
+                writeback_from,
+                self._read_complete_fn,
+                (req, fr_targets, migratory),
+            )
+
+    def _read_complete(
+        self, req: MemRequest, fr_targets: frozenset[NodeId], migratory: bool
+    ) -> None:
+        if migratory and self._entries[req.block].promote_sole_sharer(req.requester):
+            self._engine.record_migratory_grant(req.block, req.requester)
+            self._reply_data(req, True, True)
+            return
+        if fr_targets:
+            self._forward_spec(req.block, fr_targets, "fr")
+        self._reply_data(req, False, True)
 
     def _do_write(self, req: MemRequest) -> None:
-        entry = self.entry(req.block)
-        if (
-            entry.state is DirectoryState.EXCLUSIVE
-            and entry.owner == req.requester
-        ):
-            # Stale request (the copy was granted while in flight).
-            self._reply_data(req, exclusive=True)
-            return
-        transition = entry.write(req.requester)
-        kind = transition.request
-        assert kind is not None
-        self._m.count_request_fast(kind, req.block)
+        block = req.block
+        requester = req.requester
+        entry = self.entry(block)
+        state = entry.state
+        invalidated: list[NodeId] = []
+        writeback_from, kind = None, MessageKind.WRITE
+        if state is DirectoryState.EXCLUSIVE:
+            if entry.owner == requester:
+                # Stale request (the copy was granted while in flight).
+                self._reply_data(req, True, True)
+                return
+            writeback_from = entry.owner
+        elif state is DirectoryState.SHARED:
+            sharers = entry.sharers
+            if requester in sharers:
+                kind = MessageKind.UPGRADE
+                sharers.discard(requester)
+            invalidated = sorted(sharers)
+            entry.sharers = set()
+        entry.state = DirectoryState.EXCLUSIVE
+        entry.owner = requester
+        self._count_request(kind, block)
         engine = self._engine
         if engine is not None:
-            engine.observe_write(req.block, kind, req.requester)
-
-        outstanding = len(transition.invalidated) + (
-            1 if transition.writeback_from is not None else 0
-        )
-
-        def complete() -> None:
-            self._reply_data(req, exclusive=True, data=kind is not MessageKind.UPGRADE)
-
-        if outstanding == 0:
-            complete()
+            engine.observe_write(block, kind, requester)
+        data = kind is not MessageKind.UPGRADE
+        outstanding = len(invalidated) + (writeback_from is not None)
+        if not outstanding:
+            self._reply_data(req, True, data)
             return
-        remaining = [outstanding]
+        self._joins[block] = [outstanding, req, data]
+        for sharer in invalidated:
+            self._send_call(self.node, sharer, self._inv_at_sharer_fn, block, sharer)
+        if writeback_from is not None:
+            self._recall_writable(block, writeback_from, self._write_ack_fn, (block,))
 
-        def one_done() -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                complete()
-
-        for sharer in transition.invalidated:
-            self._invalidate_sharer(req.block, sharer, one_done)
-        if transition.writeback_from is not None:
-            self._recall_writable(req.block, transition.writeback_from, one_done)
+    def _write_ack(self, block: BlockId) -> None:
+        join = self._joins[block]
+        join[0] -= 1
+        if not join[0]:
+            del self._joins[block]
+            self._reply_data(join[1], True, join[2])
 
     def _do_swi_recall(self, req: MemRequest) -> None:
-        entry = self.entry(req.block)
+        block = req.block
+        writer = req.requester
+        entry = self.entry(block)
         engine = self._engine
         if (
             engine is None
             or entry.state is not DirectoryState.EXCLUSIVE
-            or entry.owner != req.requester
-            or not engine.swi_allowed(req.block)
+            or entry.owner != writer
+            or not engine.swi_allowed(block)
         ):
-            self._finish(req.block)
+            self._finish(block)
             return
-        recall = entry.recall()
-        assert recall.writeback_from == req.requester
+        # The recall of an exclusive block: back to Idle, owner writes back.
+        entry.state = DirectoryState.IDLE
+        entry.owner = None
+        self._recall_writable(block, writer, self._swi_after_writeback_fn, (block, writer))
 
-        def after_writeback() -> None:
-            targets = engine.swi_invalidated(req.block, req.requester)
-            self._forward_spec(req.block, targets, origin="swi")
-            self._finish(req.block)
-
-        self._recall_writable(req.block, req.requester, after_writeback)
+    def _swi_after_writeback(self, block: BlockId, writer: NodeId) -> None:
+        targets = self._engine.swi_invalidated(block, writer)
+        if targets:
+            self._forward_spec(block, targets, "swi")
+        self._finish(block)
 
     # ------------------------------------------------------------------
-    # protocol sub-operations
+    # protocol sub-operations, one handler per hop
     # ------------------------------------------------------------------
-    def _invalidate_sharer(
-        self, block: BlockId, sharer: NodeId, on_ack: Callable[[], None]
-    ) -> None:
-        self._send_call(
-            self.node, sharer, self._inv_at_sharer_fn, block, sharer, on_ack
-        )
+    def _inv_at_sharer(self, block: BlockId, sharer: NodeId) -> None:
+        self._after_access(self._inv_after_access_fn, (block, sharer))
 
-    def _inv_at_sharer(
-        self, block: BlockId, sharer: NodeId, on_ack: Callable[[], None]
-    ) -> None:
-        self._ev_call(
-            self._local_access, self._inv_after_access_fn, block, sharer, on_ack
-        )
-
-    def _inv_after_access(
-        self, block: BlockId, sharer: NodeId, on_ack: Callable[[], None]
-    ) -> None:
+    def _inv_after_access(self, block: BlockId, sharer: NodeId) -> None:
         node = self._machine_nodes[sharer]
         node.cache._state.pop(block, None)  # invalidate, inlined
         spec_entry = node.remote_cache._entries.pop(block, None)  # evict
         self._send_call(
-            sharer,
-            self.node,
-            self._inv_ack_at_home_fn,
-            block,
-            sharer,
-            spec_entry,
-            on_ack,
+            sharer, self.node, self._inv_ack_at_home_fn, block, sharer, spec_entry
         )
 
     def _inv_ack_at_home(
-        self, block: BlockId, sharer: NodeId, spec_entry, on_ack
+        self, block: BlockId, sharer: NodeId, spec_entry: SpeculativeEntry | None
     ) -> None:
         if spec_entry is not None and not spec_entry.referenced:
-            engine = self._engine
-            if engine is not None:
-                engine.spec_feedback(block, sharer, used=False)
-        on_ack()
+            # Only speculation places remote-cache entries: engine is set.
+            self._engine.spec_feedback(block, sharer, used=False)
+        self._write_ack(block)
 
     def _recall_writable(
-        self, block: BlockId, owner: NodeId, done: Callable[[], None]
+        self, block: BlockId, owner: NodeId, handler: Callable, args: tuple
     ) -> None:
+        """Recall the writable copy, then ``handler(*args)`` at home."""
         engine = self._engine
         if engine is not None:
             # A recalled migratory grant that was never written to is a
@@ -564,47 +577,37 @@ class FastHomeDirectory(HomeDirectory):
             # read-only copy).
             engine.migratory_recalled(block, owner)
         self._send_call(
-            self.node, owner, self._recall_at_owner_fn, block, owner, done
+            self.node, owner, self._recall_at_owner_fn, block, owner, handler, args
         )
 
     def _recall_at_owner(
-        self, block: BlockId, owner: NodeId, done: Callable[[], None]
+        self, block: BlockId, owner: NodeId, handler: Callable, args: tuple
     ) -> None:
-        self._ev_call(
-            self._local_access, self._recall_after_access_fn, block, owner, done
-        )
+        self._after_access(self._recall_after_access_fn, (block, owner, handler, args))
 
     def _recall_after_access(
-        self, block: BlockId, owner: NodeId, done: Callable[[], None]
+        self, block: BlockId, owner: NodeId, handler: Callable, args: tuple
     ) -> None:
         self._machine_nodes[owner].cache._state.pop(block, None)  # invalidate
-        self._send_call(owner, self.node, self._recall_writeback_at_home_fn, done)
+        # Back at home, the memory update with the written-back data.
+        self._send_call(owner, self.node, self._after_access_fn, handler, args)
 
-    def _recall_writeback_at_home(self, done: Callable[[], None]) -> None:
-        # Memory update with the written-back data.
-        self._ev_call(self._local_access, done)
-
-    def _reply_data(
-        self, req: MemRequest, exclusive: bool, data: bool = True
-    ) -> None:
+    def _reply_data(self, req: MemRequest, exclusive: bool, data: bool) -> None:
         self._send_call(
             self.node, req.requester, self._deliver_reply_fn, req, exclusive, data
         )
 
-    def _deliver_reply(
-        self, req: MemRequest, exclusive: bool, data: bool
-    ) -> None:
+    def _deliver_reply(self, req: MemRequest, exclusive: bool, data: bool) -> None:
         requester = req.requester
         block = req.block
         # set_state inlined: replies always grant a valid state.
         self._machine_nodes[requester].cache._state[block] = (
             CacheState.EXCLUSIVE if exclusive else CacheState.SHARED
         )
-        fill = (
-            self._local_access if data and requester != self.node else 0
-        )
         if req.on_done is not None:
-            self._ev_call(fill, req.on_done, *req.on_done_args)
+            q = self._q
+            fill = self._local_access if data and requester != self.node else 0
+            q.insert(q.now + fill, req.on_done, req.on_done_args)
         self._finish(block)
 
     # ------------------------------------------------------------------
@@ -614,9 +617,7 @@ class FastHomeDirectory(HomeDirectory):
         self, block: BlockId, targets: frozenset[NodeId], origin: str
     ) -> None:
         engine = self._engine
-        if engine is None or not targets:
-            return
-        entry = self.entry(block)
+        entry = self._entries[block]
         stat_key = self._spec_sent_key[origin]
         for target in sorted(targets):
             if not entry.grant_speculative_copy(target):
@@ -632,9 +633,7 @@ class FastHomeDirectory(HomeDirectory):
         if node.processor._outstanding == block:  # waiting_for, inlined
             # Race with an in-flight request: drop the speculative
             # message (Section 4.2).
-            engine = self._engine
-            if engine is not None:
-                engine.spec_feedback(block, target, used=False, raced=True)
+            self._engine.spec_feedback(block, target, used=False, raced=True)
             return
         if node.cache._state.get(block) is not None:  # can_read, inlined
             return

@@ -163,7 +163,7 @@ class Machine:
         #: Per-kind (stat key, distinct-block set) pairs so the
         #: per-request accounting neither formats a key string nor
         #: re-resolves the block set on every request.
-        self._req_count_cache: dict[str, tuple[str, set[BlockId]]] = {}
+        self._req_count_cache: dict[MessageKind, tuple[str, set[BlockId]]] = {}
         self._last_write: dict[NodeId, BlockId] = {}
         # Engines and nodes are built before homes so the fast home
         # directories can cache direct references to both.
@@ -227,10 +227,10 @@ class Machine:
         per-request key formatting or block-set re-resolution."""
         if kind is None:
             return
-        value = kind.value
-        cached = self._req_count_cache.get(value)
+        cached = self._req_count_cache.get(kind)
         if cached is None:
-            cached = self._req_count_cache[value] = (
+            value = kind.value
+            cached = self._req_count_cache[kind] = (
                 f"req_{value}",
                 self._request_blocks.setdefault(value, set()),
             )

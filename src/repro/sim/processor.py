@@ -237,15 +237,18 @@ class FastProcessor(Processor):
             return
         op = self._ops[self._op_index]
         self._op_index += 1
-        if isinstance(op, Compute):
-            self._sched_step(op.cycles)
-        elif isinstance(op, MemRead):
+        # Exact-type dispatch, most frequent first (ops are final
+        # dataclasses, so this matches the isinstance chain).
+        op_type = type(op)
+        if op_type is MemRead:
             self._load(op.block)
-        elif isinstance(op, MemWrite):
+        elif op_type is MemWrite:
             self._store(op.block)
-        elif isinstance(op, LockAcquire):
+        elif op_type is Compute:
+            self._sched_step(op.cycles)
+        elif op_type is LockAcquire:
             self._acquire(op.lock)
-        elif isinstance(op, LockRelease):
+        elif op_type is LockRelease:
             self._m.locks.release(op.lock, self.pid)
             self._sched_step(0)
         else:  # pragma: no cover - defensive

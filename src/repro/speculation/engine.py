@@ -17,6 +17,9 @@ from repro.predictors.base import HistoryKey, ReadVector
 from repro.predictors.swi import EarlyWriteInvalidateTable
 from repro.predictors.vmsp import Vmsp
 
+#: The empty forwarding target set (shared; frozensets are immutable).
+NO_TARGETS: frozenset[NodeId] = frozenset()
+
 
 @dataclass(slots=True)
 class SpeculationStats:
@@ -104,11 +107,11 @@ class SpeculationEngine:
                 Message(kind=MessageKind.READ, node=reader, block=block)
             )
         if not first_of_run:
-            return frozenset()
+            return NO_TARGETS
+        # The open run now holds the reader, so the remaining predicted
+        # readers already exclude it.
         predicted = self.predictor.predicted_read_vector(block)
-        if predicted is None:
-            return frozenset()
-        return frozenset(predicted - {reader})
+        return NO_TARGETS if predicted is None else predicted
 
     def observe_write(
         self, block: BlockId, kind: MessageKind, writer: NodeId
@@ -140,7 +143,7 @@ class SpeculationEngine:
         predicted = self.predictor.predicted_next(block)
         if not isinstance(predicted, ReadVector):
             return False
-        if predicted.readers != frozenset({reader}):
+        if len(predicted) != 1 or reader not in predicted:
             return False
         if self.predictor.confidence(block, history) < 1:
             return False
@@ -203,9 +206,7 @@ class SpeculationEngine:
         history = self.predictor.current_history(block)
         self._pending_swi[block] = _PendingSwi(writer=writer, history=history)
         predicted = self.predictor.predicted_read_vector(block)
-        if predicted is None:
-            return frozenset()
-        return frozenset(predicted)
+        return NO_TARGETS if predicted is None else predicted
 
     def _resolve_swi(self, block: BlockId, requester: NodeId) -> None:
         """The next request for an SWI-recalled block is its verdict."""

@@ -41,6 +41,38 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_app(name, iterations=0)
 
+    @pytest.mark.parametrize(
+        "name, minimum",
+        [
+            ("appbt", 3),
+            ("barnes", 3),
+            ("em3d", 4),
+            ("moldyn", 5),
+            ("ocean", 2),
+            ("tomcatv", 2),
+            ("unstructured", 6),
+        ],
+    )
+    def test_minimum_processor_count(self, name, minimum):
+        """Below its minimum an app says so at construction; at the
+        minimum it builds (over a few seeds, since the sharing draws
+        are random)."""
+        assert make_app(name, num_procs=minimum).min_procs() == minimum
+        with pytest.raises(ValueError, match=f"at least {minimum} processors"):
+            make_app(name, num_procs=minimum - 1)
+        for seed in range(3):
+            make_app(name, num_procs=minimum, iterations=2, seed=seed).build()
+
+    def test_minimum_follows_app_parameters(self):
+        from repro.apps.appbt import Appbt
+        from repro.apps.unstructured import Unstructured
+
+        assert Appbt(num_procs=2, shared_face_blocks=0).min_procs() == 2
+        Appbt(num_procs=2, iterations=2, shared_face_blocks=0).build()
+        assert Unstructured(num_procs=5, stable_visitors=1).min_procs() == 5
+        with pytest.raises(ValueError, match="at least 7 processors"):
+            Unstructured(num_procs=6, stable_visitors=3)
+
 
 @pytest.mark.parametrize("name", APP_NAMES)
 class TestEveryApp:

@@ -244,14 +244,29 @@ class TestSweepSubcommand:
             ("accuracy", ["app=em3d", 'predictors=["Foo"]'], "VMSP"),
             ("accuracy", ["app=em3d", "predictors=MSP"], "list"),
             ("accuracy", ["app=em3d", "depth=0"], ">= 1"),
+            ("accuracy", ["app=barnes", "num_procs=2"], "at least 3 processors"),
+            ("accuracy", ["app=em3d", "iterations=-1"], "one iteration"),
+            ("speculation", ["app=ocean", "num_procs=0"], "at least 2 processors"),
+            ("speculation", ["app=ocean", "num_procs=x"], "integer"),
+            ("speculation", ["app=em3d", "num_procs=2"], "at least 4 processors"),
+            ("speculation", ["app=moldyn", "num_procs=4"], "at least 5 processors"),
+            ("speculation", ["app=ocean", "iterations=0"], "one iteration"),
+            ("speculation", ["app=ocean", 'config={"bogus": 1}'], "bogus"),
+            ("speculation", ["app=ocean", "config=nope"], "mapping"),
+            (
+                "speculation",
+                ["app=ocean", "num_procs=16", 'config={"num_nodes": 8}'],
+                "disagrees",
+            ),
         ],
     )
     def test_bad_accuracy_or_speculation_params_fail_fast(
         self, capsys, tmp_path, kind, settings, menu
     ):
-        """Unknown apps/predictors and depth < 1 die before any point
-        runs (exit 2), instead of erroring mid-compute."""
-        argv = ["sweep", "--kind", kind, "--axis", "iterations=2"]
+        """Unknown apps/predictors, depth < 1, processor counts below
+        the app's minimum, iterations < 1 and bad config overrides die
+        before any point runs (exit 2), instead of erroring mid-compute."""
+        argv = ["sweep", "--kind", kind, "--axis", "seed=1", "--set", "iterations=2"]
         for setting in settings:
             argv += ["--set", setting]
         argv += ["--cache-dir", str(tmp_path)]

@@ -308,10 +308,24 @@ class TestPointEndpoint:
             ("kind=accuracy&app=em3d&predictors=%5B%22Foo%22%5D", ("MSP", "VMSP")),
             ("kind=accuracy&app=em3d&predictors=MSP", ("list",)),
             ("kind=accuracy&app=em3d&depth=0", (">= 1",)),
+            ("kind=speculation&app=ocean&num_procs=0", ("at least 2 processors",)),
+            ("kind=speculation&app=ocean&num_procs=x", ("integer",)),
+            ("kind=speculation&app=em3d&num_procs=2", ("at least 4 processors",)),
+            ("kind=speculation&app=unstructured&num_procs=5", ("at least 6",)),
+            ("kind=speculation&app=ocean&iterations=0", ("one iteration",)),
+            ("kind=speculation&app=ocean&config=%7B%22bogus%22%3A1%7D", ("bogus",)),
+            ("kind=speculation&app=ocean&config=nope", ("mapping",)),
+            (
+                "kind=speculation&app=ocean&num_procs=16"
+                "&config=%7B%22num_nodes%22%3A8%7D",
+                ("disagrees",),
+            ),
         ],
     )
     def test_unknown_app_predictor_or_bad_depth_is_400(self, tmp_path, query, menu):
-        """Accuracy/speculation parameters that can never run fail fast,
+        """Accuracy/speculation parameters that can never run — unknown
+        names, depth < 1, a processor count below the app's minimum,
+        iterations < 1, bad config overrides — fail fast with 400,
         before the point is queued or a trace is compiled and cached."""
 
         async def scenario(service):

@@ -31,23 +31,30 @@ from repro.sim.timetrace import reset_timetrace_memo
 ITERATIONS = 2
 NUM_PROCS = 16
 SEED = 1999
+#: The 64-node cells of the timing benchmark: large same-cycle cohorts
+#: and wide sharer sets the 16-node workloads never reach.
+LARGE_APPS = ("em3d", "ocean")
+LARGE_NUM_PROCS = 64
 
-_WORKLOADS: dict[str, object] = {}
+_WORKLOADS: dict[tuple[str, int], object] = {}
 
 
-def workload_for(app: str):
+def workload_for(app: str, num_procs: int = NUM_PROCS):
     """Build each app's workload once for the whole module."""
-    if app not in _WORKLOADS:
-        _WORKLOADS[app] = make_app(
-            app, num_procs=NUM_PROCS, iterations=ITERATIONS, seed=SEED
+    key = (app, num_procs)
+    if key not in _WORKLOADS:
+        _WORKLOADS[key] = make_app(
+            app, num_procs=num_procs, iterations=ITERATIONS, seed=SEED
         ).build()
-    return _WORKLOADS[app]
+    return _WORKLOADS[key]
 
 
-def run_once(app: str, mode: MachineMode, engine: str) -> RunResult:
+def run_once(
+    app: str, mode: MachineMode, engine: str, num_procs: int = NUM_PROCS
+) -> RunResult:
     machine = Machine(
-        workload_for(app),
-        config=SystemConfig(num_nodes=NUM_PROCS),
+        workload_for(app, num_procs),
+        config=SystemConfig(num_nodes=num_procs),
         mode=mode,
         engine=engine,
     )
@@ -90,6 +97,16 @@ class TestEngineEquivalence:
         replayed = run_once(app, mode, "compiled")
         assert_identical(recorded, reference)
         assert_identical(replayed, reference)
+
+
+@pytest.mark.parametrize("app", LARGE_APPS)
+@pytest.mark.parametrize(
+    "mode", list(MachineMode), ids=[m.value for m in MachineMode]
+)
+def test_64_node_fast_bit_identical(app, mode):
+    fast = run_once(app, mode, "fast", LARGE_NUM_PROCS)
+    reference = run_once(app, mode, "reference", LARGE_NUM_PROCS)
+    assert_identical(fast, reference)
 
 
 @pytest.mark.parametrize("engine", ["fast", "compiled", "reference"])

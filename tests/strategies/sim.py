@@ -32,7 +32,10 @@ def block_ids(
 
 
 def workloads(
-    max_procs: int = 4, max_phases: int = 3, max_items: int = 5
+    max_procs: int = 4,
+    max_phases: int = 3,
+    max_items: int = 5,
+    max_repeats: int = 1,
 ) -> st.SearchStrategy:
     """A random, deadlock-free :class:`~repro.apps.base.Workload`.
 
@@ -42,13 +45,17 @@ def workloads(
     Locks are emitted as self-contained acquire/body/release triples
     and never nest, so generated workloads cannot deadlock: every
     processor always reaches the phase barrier.
+
+    With ``max_repeats > 1`` the drawn phases run for 1 to
+    ``max_repeats`` iterations, like the paper's iterative kernels, so
+    the predictors see sharing patterns recur and speculation fires.
     """
     from repro.apps.base import WorkloadBuilder
 
     def build(draw_spec):
-        num_procs, phase_specs = draw_spec
+        num_procs, phase_specs, repeats = draw_spec
         builder = WorkloadBuilder("hypothesis", num_procs)
-        for p_index, (racy, proc_items) in enumerate(phase_specs):
+        for p_index, (racy, proc_items) in enumerate(phase_specs * repeats):
             with builder.phase(f"phase{p_index}", racy_reads=racy):
                 for proc, items in enumerate(proc_items):
                     for kind, block, cycles, lock in items:
@@ -84,6 +91,7 @@ def workloads(
         return st.tuples(
             st.just(num_procs),
             st.lists(phase, min_size=1, max_size=max_phases),
+            st.integers(min_value=1, max_value=max_repeats),
         )
 
     return (
