@@ -9,11 +9,17 @@ from the in-process hot tier.  The summary record is written to
 ``BENCH_service.json`` (committed at the repo root next to
 ``BENCH_timing.json``) and printed to stdout.
 
+With ``--session APP`` it then streams APP's recorded home-directory
+trace through one session per predictor (open, NDJSON batches, close)
+and checks that each close summary's ``run`` equals the reference
+engine's batch run over the same trace, so the session codec is driven
+end to end over real sockets.
+
 Usage (the server is started separately; see the ``load-smoke`` CI lane)::
 
     PYTHONPATH=src python -m repro.eval.cli serve --port 8599 &
-    python benchmarks/load_test.py --url http://127.0.0.1:8599 \\
-        --threads 8 --requests 50
+    PYTHONPATH=src python benchmarks/load_test.py --url http://127.0.0.1:8599 \\
+        --threads 8 --requests 50 --session em3d
 
 The file deliberately does NOT match pytest's ``test_*.py`` collection
 pattern (see pytest.ini): it is a standalone tool, not a test module.
@@ -35,6 +41,13 @@ DEFAULT_TARGETS = [
     "/v1/point?kind=analytic&panel=accuracy&points=3",
     "/v1/point?kind=analytic&panel=fraction&points=3",
 ]
+
+#: The session stream: one session per predictor over the same trace.
+SESSION_PREDICTORS = ("Cosmos", "MSP", "VMSP")
+SESSION_DEPTH = 2
+SESSION_PROCS = 8
+SESSION_ITERATIONS = 3
+SESSION_BATCH = 256
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -106,6 +119,112 @@ class Worker(threading.Thread):
             connection.close()
 
 
+def stream_sessions(
+    host: str, port: int, app: str, timeout_s: float, headers: dict[str, str]
+) -> dict:
+    """Stream ``app``'s recorded trace through one session per predictor.
+
+    Each close summary's ``run`` is compared with
+    ``run_predictors(engine="reference")`` over the same workload, and
+    every batch must answer one prediction line per event.
+    """
+    from repro.eval.accuracy import run_predictors
+    from repro.service.client import record_app_trace
+
+    workload = {"num_procs": SESSION_PROCS, "iterations": SESSION_ITERATIONS}
+    events = record_app_trace(app, **workload)
+    batches = [
+        b"".join(
+            json.dumps(event, sort_keys=True).encode() + b"\n"
+            for event in events[start : start + SESSION_BATCH]
+        )
+        for start in range(0, len(events), SESSION_BATCH)
+    ]
+    reference = run_predictors(
+        app,
+        depth=SESSION_DEPTH,
+        predictors=SESSION_PREDICTORS,
+        engine="reference",
+        **workload,
+    )
+    errors: list[str] = []
+    matched: list[str] = []
+    lines = 0
+    connection = HTTPConnection(host, port, timeout=timeout_s)
+
+    def call(method: str, target: str, body: bytes | None = None, ctype: str = ""):
+        extra = {"Content-Type": ctype} if ctype else {}
+        connection.request(method, target, body=body, headers={**headers, **extra})
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    started = time.perf_counter()
+    try:
+        for predictor in SESSION_PREDICTORS:
+            opened = {
+                "predictor": predictor,
+                "depth": SESSION_DEPTH,
+                "num_procs": SESSION_PROCS,
+            }
+            status, body = call(
+                "POST", "/v1/sessions", json.dumps(opened).encode(), "application/json"
+            )
+            if status != 201:
+                errors.append(f"{predictor}: open answered {status}")
+                continue
+            session = json.loads(body)["session"]
+            for batch in batches:
+                status, body = call(
+                    "POST",
+                    f"/v1/sessions/{session}/events",
+                    batch,
+                    "application/x-ndjson",
+                )
+                if status != 200:
+                    errors.append(f"{predictor}: batch answered {status}")
+                    break
+                lines += body.count(b"\n")
+            status, body = call("DELETE", f"/v1/sessions/{session}")
+            if status != 200:
+                errors.append(f"{predictor}: close answered {status}")
+                continue
+            run = reference[predictor]
+            expected = {
+                "accuracy": run.accuracy,
+                "coverage": run.coverage,
+                "correct_fraction": run.correct_fraction,
+                "average_pte": run.average_pte,
+                "overhead_bytes": run.overhead_bytes,
+            }
+            if json.dumps(json.loads(body)["run"], sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            ):
+                matched.append(predictor)
+            else:
+                errors.append(f"{predictor}: close summary differs from the batch run")
+    except (OSError, ValueError, KeyError) as exc:
+        errors.append(f"session stream: {exc}")
+    finally:
+        connection.close()
+    wall_s = time.perf_counter() - started
+    expected_lines = len(events) * len(SESSION_PREDICTORS)
+    if lines != expected_lines:
+        errors.append(f"{lines} prediction lines for {expected_lines} events")
+    return {
+        "app": app,
+        "depth": SESSION_DEPTH,
+        "num_procs": SESSION_PROCS,
+        "iterations": SESSION_ITERATIONS,
+        "events": len(events),
+        "batches": len(batches),
+        "predictors": list(SESSION_PREDICTORS),
+        "lines": lines,
+        "runs_match": matched == list(SESSION_PREDICTORS),
+        "wall_s": round(wall_s, 3),
+        "errors": errors,
+    }
+
+
 def fetch_json(
     host: str, port: int, target: str, timeout_s: float, headers: dict[str, str]
 ):
@@ -150,6 +269,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--timeout-s", type=float, default=30.0, help="per-request timeout"
+    )
+    parser.add_argument(
+        "--session",
+        default=None,
+        metavar="APP",
+        help="after the reads, stream APP's recorded trace through one "
+        "session per predictor and check it against the batch run "
+        "(needs the repro package importable, e.g. PYTHONPATH=src)",
     )
     parser.add_argument(
         "--label", default="service load test", help="benchmark label"
@@ -202,8 +329,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         errors.append(f"/statz: {exc}")
 
+    session = (
+        stream_sessions(host, port, args.session, args.timeout_s, headers)
+        if args.session
+        else None
+    )
+
     record = {
-        "schema": 1,
+        "schema": 2,
         "benchmark": args.label,
         "threads": args.threads,
         "requests_per_thread": args.requests,
@@ -222,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         "transport_errors": len(errors),
         "results_consistent": not inconsistent,
         "hot_tier": hot_tier,
+        "session": session,
     }
     rendered = json.dumps(record, indent=2, sort_keys=True)
     print(rendered)
@@ -243,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
             + ", ".join(inconsistent),
             file=sys.stderr,
         )
+        ok = False
+    if session is not None and (session["errors"] or not session["runs_match"]):
+        print(f"FAIL: session stream: {session['errors']}", file=sys.stderr)
         ok = False
     if ok:
         print(

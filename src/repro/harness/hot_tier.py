@@ -29,6 +29,12 @@ Bounds and coherence:
   *processes* (peer replicas, CLI ``--refresh`` runs) are observed
   within one request.
 
+Each slot also keeps its result's JSON text
+(``json.dumps(result, sort_keys=True)``), encoded on the slot's first
+hit, so a server splicing hits into replies encodes each result once;
+the text is dropped with its slot (eviction, invalidation, overwrite,
+``clear``), and entries never hit never pay for it.
+
 Thread safety: the tier is touched from an event loop, the incremental
 pool's completion callbacks, and batch sweep threads concurrently; all
 state is guarded by one lock (every operation is a dict touch, so the
@@ -37,6 +43,7 @@ lock is never held across I/O except the optional validate ``stat``).
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import OrderedDict
@@ -57,6 +64,8 @@ DEFAULT_HOT_BYTES = 64 * 1024 * 1024
 class _Slot:
     """One resident entry: the value, its charge, and its disk stamp."""
 
+    #: The entry as every hit returns it: ``hot=True``, and
+    #: ``result_json`` set from the first hit on.
     entry: "StoredEntry"
     nbytes: int
     #: ``(st_mtime_ns, st_size)`` of the backing file at admission time,
@@ -105,7 +114,8 @@ class HotTier:
         """The resident entry for ``key``, or None (a tier miss).
 
         A hit refreshes LRU recency and is returned with ``hot=True`` so
-        callers (``/statz``, sweep reports) can attribute it.  In
+        callers (``/statz``, sweep reports) can attribute it, and with
+        ``result_json`` holding the result's encoded JSON text.  In
         validate mode a hit whose backing file stamp changed — or whose
         file vanished — is dropped and reported as a miss, so the next
         load re-reads the cold tier.
@@ -125,19 +135,25 @@ class HotTier:
                     return None
             self._slots.move_to_end(key)
             self.hits += 1
-            return replace(slot.entry, hot=True)
+            entry = slot.entry
+        if entry.result_json is None:
+            # Outside the lock; a slot dropped meanwhile drops the text.
+            entry = replace(
+                entry, result_json=json.dumps(entry.result, sort_keys=True)
+            )
+            slot.entry = entry
+        return entry
 
     def put(self, key: str, entry: "StoredEntry", nbytes: int, path: Path) -> None:
         """Admit (or refresh) ``key``; evicts LRU entries past the bounds."""
         if nbytes > self.max_bytes:
             return
         stamp = self._stat_stamp(path) if self.validate else None
+        resident = replace(entry, hot=True)
         with self._lock:
             if key in self._slots:
                 self._drop(key)
-            self._slots[key] = _Slot(
-                entry=replace(entry, hot=False), nbytes=nbytes, stamp=stamp
-            )
+            self._slots[key] = _Slot(entry=resident, nbytes=nbytes, stamp=stamp)
             self._bytes += nbytes
             while len(self._slots) > self.max_entries or self._bytes > self.max_bytes:
                 evicted, slot = self._slots.popitem(last=False)

@@ -158,6 +158,9 @@ class PointOutcome:
     #: True when a cached value was served from the in-memory hot tier
     #: (no filesystem I/O beyond at most one validating ``stat``).
     hot: bool = False
+    #: The hot tier's ``json.dumps(value, sort_keys=True)`` text for a
+    #: hot hit (None otherwise), so a reply can splice it in as is.
+    value_json: str | None = None
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -394,6 +397,7 @@ class ParallelRunner:
             elapsed_s=entry.elapsed_s,
             cached=True,
             hot=entry.hot,
+            value_json=entry.result_json,
         )
 
     def submit_point(self, point: SweepPoint) -> "Future[PointOutcome]":

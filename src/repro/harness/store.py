@@ -77,6 +77,12 @@ KEY_NEUTRAL_PARAMS: dict[str, frozenset[str]] = {
     "speculation": frozenset({"engine"}),
 }
 
+#: How many points' addresses (store key, hot-tier key, path) a store
+#: remembers; the memo is emptied when it fills.  An address is a pure
+#: function of the point and the store's root and fingerprint, so a
+#: remembered one is never stale.
+ADDRESS_MEMO_ENTRIES = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class StoredEntry:
@@ -93,6 +99,9 @@ class StoredEntry:
     #: True when this load was served from the in-process hot tier
     #: instead of the disk (never persisted; set per load).
     hot: bool = False
+    #: ``json.dumps(result, sort_keys=True)``, kept by the hot tier for
+    #: the entries it serves (never persisted; None on disk loads).
+    result_json: str | None = None
 
 
 class ResultStore:
@@ -127,24 +136,41 @@ class ResultStore:
         self._counts: dict[str, int] | None = None
         self._counts_scanned_at: float | None = None
         self._counts_lock = threading.Lock()
+        #: point.key -> (store key, hot-tier key, path); see
+        #: :data:`ADDRESS_MEMO_ENTRIES`.
+        self._addresses: dict[str, tuple[str, str, Path]] = {}
 
     # ------------------------------------------------------------------
     # addressing
     # ------------------------------------------------------------------
-    def key_for(self, point: SweepPoint) -> str:
+    def _address(self, point: SweepPoint) -> tuple[str, str, Path]:
+        """``(store key, hot-tier key, path)`` of ``point``, remembered
+        by its content key so a repeated load hashes nothing."""
+        address = self._addresses.get(point.key)
+        if address is not None:
+            return address
         params = point.as_dict()
         for name in KEY_NEUTRAL_PARAMS.get(point.kind, ()):
             params.pop(name, None)
-        return canonical_hash(
+        key = canonical_hash(
             {
                 "kind": point.kind,
                 "params": params,
                 "fingerprint": self.fingerprint,
             }
         )
+        address = (key, f"{point.kind}/{key}", self.root / point.kind / f"{key}.json")
+        if point.key:  # a raw-constructed point has no content key
+            if len(self._addresses) >= ADDRESS_MEMO_ENTRIES:
+                self._addresses.clear()
+            self._addresses[point.key] = address
+        return address
+
+    def key_for(self, point: SweepPoint) -> str:
+        return self._address(point)[0]
 
     def path_for(self, point: SweepPoint) -> Path:
-        return self.root / point.kind / f"{self.key_for(point)}.json"
+        return self._address(point)[2]
 
     # ------------------------------------------------------------------
     # access
@@ -156,10 +182,8 @@ class ResultStore:
         tier miss falls through to the disk read and, when it parses,
         populates the tier.  Misses are never cached (see module doc).
         """
-        path = self.path_for(point)
-        tier_key = None
+        _, tier_key, path = self._address(point)
         if self.hot_tier is not None:
-            tier_key = f"{point.kind}/{path.stem}"
             resident = self.hot_tier.get(tier_key, path)
             if resident is not None:
                 return resident
@@ -179,7 +203,7 @@ class ResultStore:
         if not isinstance(meta, dict):
             meta = None
         loaded = StoredEntry(result=entry["result"], elapsed_s=elapsed, meta=meta)
-        if self.hot_tier is not None and tier_key is not None:
+        if self.hot_tier is not None:
             self.hot_tier.put(tier_key, loaded, len(raw), path)
         return loaded
 
@@ -228,7 +252,7 @@ class ResultStore:
         one — cannot collide on the staging file; the final rename is
         atomic either way.
         """
-        path = self.path_for(point)
+        _, tier_key, path = self._address(point)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "entry_version": ENTRY_VERSION,
@@ -268,7 +292,7 @@ class ResultStore:
                     self._counts[point.kind] = self._counts.get(point.kind, 0) + 1
         if self.hot_tier is not None:
             self.hot_tier.put(
-                f"{point.kind}/{path.stem}",
+                tier_key,
                 StoredEntry(
                     result=result,
                     elapsed_s=elapsed_s,
@@ -280,9 +304,9 @@ class ResultStore:
         return path
 
     def discard(self, point: SweepPoint) -> None:
-        path = self.path_for(point)
+        _, tier_key, path = self._address(point)
         if self.hot_tier is not None:
-            self.hot_tier.invalidate(f"{point.kind}/{path.stem}")
+            self.hot_tier.invalidate(tier_key)
         try:
             path.unlink()
         except FileNotFoundError:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hmac
 import json
+import math
 import time
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.literals import parse_literal
@@ -60,6 +62,29 @@ _SHARED_CACHE_RESCAN_S = 60.0
 #: Kubernetes) cannot carry credentials.
 AUTH_EXEMPT_PATHS = frozenset({"/healthz"})
 
+#: How many validated ``/v1/point`` queries an app remembers; the memo
+#: is emptied when it fills.
+POINT_QUERY_MEMO_ENTRIES = 1024
+
+
+@dataclass(frozen=True, slots=True)
+class _PointQuery:
+    """A validated ``/v1/point`` query."""
+
+    point: SweepPoint
+    timeout_s: float | None
+    #: The reply's fixed middle: ``"key": …, "kind": …, "params": …,
+    #: "result": `` as ``json.dumps(payload, sort_keys=True)`` writes it.
+    reply_head: str
+
+
+def _scalar_json(value: Any) -> str:
+    """``json.dumps(value)`` for a scalar, without the call for a
+    finite float (whose JSON is its ``repr``)."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
 
 class ServiceApp:
     """Routes requests to the compute pool, job table, and session table."""
@@ -84,6 +109,21 @@ class ServiceApp:
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
         self._trace_count: tuple[float, int | None] | None = None
+        #: Query items -> validated query; see POINT_QUERY_MEMO_ENTRIES.
+        self._point_queries: dict[tuple[tuple[str, str], ...], _PointQuery] = {}
+        self._exact_routes: dict[str, dict[str, Callable]] = {
+            "/healthz": {"GET": self._healthz},
+            "/statz": {"GET": self._statz},
+            "/metrics": {"GET": self._metrics},
+            "/v1/experiments": {"GET": self._experiments},
+            "/v1/point": {"GET": self._point},
+            "/v1/sweep": {"POST": self._sweep},
+            "/v1/jobs": {"GET": lambda _r: self._job_list()},
+            "/v1/sessions": {
+                "GET": self._session_list,
+                "POST": self._open_session,
+            },
+        }
 
     def servable_kinds(self) -> tuple[str, ...]:
         return tuple(k for k in runner_kinds() if k not in UNSERVABLE_KINDS)
@@ -98,21 +138,9 @@ class ServiceApp:
         allowed methods (RFC 9110 requires ``Allow`` on 405) without
         each endpoint repeating the logic.
         """
-        exact: dict[str, dict[str, Callable]] = {
-            "/healthz": {"GET": self._healthz},
-            "/statz": {"GET": self._statz},
-            "/metrics": {"GET": self._metrics},
-            "/v1/experiments": {"GET": self._experiments},
-            "/v1/point": {"GET": self._point},
-            "/v1/sweep": {"POST": self._sweep},
-            "/v1/jobs": {"GET": lambda _r: self._job_list()},
-            "/v1/sessions": {
-                "GET": self._session_list,
-                "POST": self._open_session,
-            },
-        }
-        if path in exact:
-            return exact[path]
+        exact = self._exact_routes.get(path)
+        if exact is not None:
+            return exact
         if path.startswith("/v1/experiments/"):
             return {"GET": self._run_experiment}
         if path.startswith("/v1/jobs/"):
@@ -379,9 +407,9 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # points
     # ------------------------------------------------------------------
-    async def _point(self, request: Request) -> Response:
-        started = time.perf_counter()
-        kind = request.query.get("kind")
+    def _point_query(self, query: dict[str, str]) -> "_PointQuery | Response":
+        """A ``/v1/point`` query validated, or the 400 it earns."""
+        kind = query.get("kind")
         if not kind:
             return error_response(400, "missing required query parameter 'kind'")
         if kind not in self.servable_kinds():
@@ -389,9 +417,9 @@ class ServiceApp:
                 400,
                 f"unknown kind {kind!r} (known: {', '.join(self.servable_kinds())})",
             )
-        timeout_s: Any = None
+        timeout_s: float | None = None
         params: dict[str, Any] = {}
-        for name, raw in request.query.items():
+        for name, raw in query.items():
             if name == "kind":
                 continue
             if name == _TIMEOUT_PARAM:
@@ -399,6 +427,14 @@ class ServiceApp:
                     timeout_s = float(raw)
                 except ValueError:
                     return error_response(400, f"bad {_TIMEOUT_PARAM}: {raw!r}")
+                # NaN compares false both ways: one test rejects it and
+                # negatives, before anything is queued.
+                if not timeout_s >= 0.0:
+                    return error_response(
+                        400,
+                        f"bad {_TIMEOUT_PARAM}: {raw!r} "
+                        "(must be a non-negative number of seconds)",
+                    )
                 continue
             if name.startswith("_"):
                 return error_response(400, f"unknown reserved parameter {name!r}")
@@ -408,12 +444,36 @@ class ServiceApp:
             point = SweepPoint.make(kind, params)
         except (TypeError, ValueError) as exc:
             return error_response(400, f"invalid point parameters: {exc}")
+        return _PointQuery(
+            point=point,
+            timeout_s=timeout_s,
+            reply_head='"key": %s, "kind": %s, "params": %s, "result": '
+            % (
+                json.dumps(point.key),
+                json.dumps(kind),
+                json.dumps(point.as_dict(), sort_keys=True),
+            ),
+        )
+
+    async def _point(self, request: Request) -> Response:
+        started = time.perf_counter()
+        # Validation is a pure function of the query, so a valid one is
+        # remembered; an invalid one is never stored and is refused anew.
+        memo_key = tuple(request.query.items())
+        query = self._point_queries.get(memo_key)
+        if query is None:
+            query = self._point_query(request.query)
+            if isinstance(query, Response):
+                return query
+            if len(self._point_queries) >= POINT_QUERY_MEMO_ENTRIES:
+                self._point_queries.clear()
+            self._point_queries[memo_key] = query
 
         fetch_kwargs: dict[str, Any] = {}
-        if timeout_s is not None:
-            fetch_kwargs["timeout_s"] = timeout_s
+        if query.timeout_s is not None:
+            fetch_kwargs["timeout_s"] = query.timeout_s
         try:
-            outcome = await self.pool.fetch(point, **fetch_kwargs)
+            outcome = await self.pool.fetch(query.point, **fetch_kwargs)
         except PoolSaturated as exc:
             return error_response(
                 429, str(exc), retry_after_s=self._retry_after_s()
@@ -427,17 +487,20 @@ class ServiceApp:
             )
         except SweepError as exc:
             return error_response(500, str(exc))
-        return Response(
-            payload={
-                "kind": kind,
-                "params": point.as_dict(),
-                "key": point.key,
-                "result": outcome.value,
-                "cached": outcome.cached,
-                "elapsed_s": outcome.elapsed_s,
-                "wall_ms": round(1000.0 * (time.perf_counter() - started), 3),
-            }
+        result = outcome.value_json
+        if result is None:
+            result = json.dumps(outcome.value, sort_keys=True)
+        # json.dumps(payload, sort_keys=True) + "\n" of the payload
+        # {cached, elapsed_s, key, kind, params, result, wall_ms}, with
+        # the fixed middle and the result's text spliced in.
+        body = '{"cached": %s, "elapsed_s": %s, %s%s, "wall_ms": %r}\n' % (
+            "true" if outcome.cached else "false",
+            _scalar_json(outcome.elapsed_s),
+            query.reply_head,
+            result,
+            round(1000.0 * (time.perf_counter() - started), 3),
         )
+        return Response(body=body.encode("utf-8"))
 
     # ------------------------------------------------------------------
     # sweep jobs
@@ -610,15 +673,16 @@ class ServiceApp:
         async def stream():
             # Group lines into ~16 KB chunks: still streamed (a large
             # batch arrives as many flushed chunks), without a drain
-            # per 100-byte line.
-            buffer = bytearray()
-            for line in lines:
-                buffer += (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
-                if len(buffer) >= 16384:
-                    yield bytes(buffer)
-                    buffer.clear()
-            if buffer:
-                yield bytes(buffer)
+            # per 100-byte line.  Lines are ASCII (json.dumps escapes
+            # everything else), so characters count bytes.
+            start, size = 0, 0
+            for end, line in enumerate(lines, start=1):
+                size += len(line)
+                if size >= 16384:
+                    yield "".join(lines[start:end]).encode("ascii")
+                    start, size = end, 0
+            if size:
+                yield "".join(lines[start:]).encode("ascii")
 
         return Response(
             status=200,

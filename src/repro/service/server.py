@@ -208,20 +208,21 @@ class ReproService:
     ) -> None:
         try:
             while True:
+                # Each phase runs under an asyncio.timeout scope in this
+                # task (wait_for would wrap each read in a new Task).
                 try:
                     # idle timeout: waiting for the next request to START.
-                    start_line = await asyncio.wait_for(
-                        read_start_line(reader), timeout=self.config.keep_alive_s
-                    )
+                    async with asyncio.timeout(self.config.keep_alive_s):
+                        start_line = await read_start_line(reader)
                     if not start_line:
                         break  # client closed cleanly
                     # request timeout: receiving the REST of it.
                     try:
-                        request = await asyncio.wait_for(
-                            read_request(reader, start_line=start_line),
-                            timeout=self.config.request_timeout_s,
-                        )
-                    except asyncio.TimeoutError:
+                        async with asyncio.timeout(self.config.request_timeout_s):
+                            request = await read_request(
+                                reader, start_line=start_line
+                            )
+                    except TimeoutError:
                         await write_response(
                             writer,
                             error_response(
@@ -232,7 +233,7 @@ class ReproService:
                             keep_alive=False,
                         )
                         break
-                except asyncio.TimeoutError:
+                except TimeoutError:
                     break  # idle keep-alive connection
                 except WireError as exc:
                     await write_response(

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.common.types import BlockId, Message, MessageKind, NodeId
 from repro.predictors import PREDICTOR_CLASSES, DirectoryPredictor
-from repro.predictors.base import ReadVector, Token
+from repro.predictors.base import Outcome, ReadVector, Token
 
 #: Admission defaults; ``repro-paper serve`` exposes all three.
 DEFAULT_MAX_SESSIONS = 64
@@ -88,10 +88,11 @@ def parse_event(obj: Any, num_procs: int) -> Message:
     unknown = set(obj) - {"kind", "node", "block"}
     if unknown:
         raise ValueError(f"unknown event field(s): {', '.join(sorted(unknown))}")
-    kind = _KIND_BY_NAME.get(obj.get("kind"))
+    raw_kind = obj.get("kind")
+    kind = _KIND_BY_NAME.get(raw_kind) if isinstance(raw_kind, str) else None
     if kind is None:
         raise ValueError(
-            f"bad event kind {obj.get('kind')!r} "
+            f"bad event kind {raw_kind!r} "
             f"(known: {', '.join(sorted(_KIND_BY_NAME))})"
         )
     node = obj.get("node")
@@ -109,36 +110,102 @@ def parse_event(obj: Any, num_procs: int) -> Message:
     return Message(kind=kind, node=node, block=block)
 
 
+#: The C scanner ``json.loads`` runs once its Python-level checks pass:
+#: ``scan(text, 0)`` returns ``(value, end)`` for the value at the start.
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _parse_line(line: bytes, lineno: int, num_procs: int) -> Message:
+    """One stripped, non-blank NDJSON line, checked in full."""
+    try:
+        obj = json.loads(line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
+    try:
+        return parse_event(obj, num_procs)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def _fast_event(line: bytes, num_procs: int) -> Message | None:
+    """``line`` as a :class:`Message` when it is one UTF-8 JSON object
+    holding exactly a known ``kind`` string and in-range integer
+    ``node`` and ``block``; else None.
+
+    One C-level scan plus exact-type checks.  Such a line starts with
+    ``{`` and then a non-NUL byte, so ``json.loads`` would decode it as
+    UTF-8 too and scan it to the same object, and :func:`parse_event`
+    would accept that object unchanged: taking it here changes nothing
+    but the cost.
+    """
+    try:
+        text = line.decode("utf-8")
+        obj, end = _scan_value(text, 0)
+    except (ValueError, StopIteration, RecursionError):
+        return None
+    if end != len(text) or type(obj) is not dict or len(obj) != 3:
+        return None
+    kind = obj.get("kind")
+    node = obj.get("node")
+    block = obj.get("block")
+    if (
+        type(kind) is not str
+        or type(node) is not int
+        or type(block) is not int
+        or not 0 <= node < num_procs
+        or block < 0
+    ):
+        return None
+    kind = _KIND_BY_NAME.get(kind)
+    if kind is None:
+        return None
+    return Message(kind, node, block)  # positional args: the cheaper call
+
+
 def parse_ndjson_events(body: bytes, num_procs: int) -> list[Message]:
-    """Decode an NDJSON batch; ValueError names the offending line."""
+    """Decode an NDJSON batch; ValueError names the offending line.
+
+    Each line is decoded on its own: first by :func:`_fast_event`, and
+    any line that does not take goes through :func:`_parse_line`, so
+    what is rejected, and the message saying why, does not depend on
+    the shortcut.
+    """
     messages: list[Message] = []
     for lineno, raw in enumerate(body.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
-        try:
-            messages.append(parse_event(obj, num_procs))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        message = _fast_event(line, num_procs)
+        if message is None:
+            message = _parse_line(line, lineno, num_procs)
+        messages.append(message)
     return messages
-
-
-def encode_token(token: Token | None) -> dict[str, Any] | None:
-    """A predictor token as JSON: request pair or VMSP reader vector."""
-    if token is None:
-        return None
-    if isinstance(token, ReadVector):
-        return {"readers": sorted(token.readers)}
-    kind, node = token
-    return {"kind": kind.value, "node": node}
 
 
 def encode_message(message: Message) -> dict[str, Any]:
     return {"kind": message.kind.value, "node": message.node, "block": message.block}
+
+
+#: One prediction line: ``json.dumps(line, sort_keys=True) + "\n"`` of
+#: the line object, written from its fields in sorted-key order.  The
+#: running ``accuracy``/``coverage`` are floats and the counts ints, so
+#: ``%r``/``%d`` print them exactly as ``json.dumps`` does.
+_PREDICTION_LINE = (
+    '{"accuracy": %r, "correct": %d, "coverage": %r, "observed": %d, '
+    '"outcome": %s, "predicted": %s, "seq": %d}\n'
+)
+_OUTCOME_JSON = {outcome: json.dumps(outcome.value) for outcome in Outcome}
+
+
+def token_json(token: Token | None) -> str:
+    """A predictor token as JSON text: a request pair, a VMSP reader
+    vector, or ``null``."""
+    if token is None:
+        return "null"
+    if isinstance(token, ReadVector):
+        return json.dumps({"readers": sorted(token)})
+    kind, node = token
+    return json.dumps({"kind": kind.value, "node": node}, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -173,30 +240,50 @@ class PredictorSession:
         self.num_procs = num_procs
         self.predictor: DirectoryPredictor = cls(depth=depth)
         self.events = 0
+        #: Token -> its JSON text, for the prediction lines.  Grows only
+        #: with the distinct tokens the predictor has predicted, which
+        #: the session's event bound caps like the predictor's tables.
+        self._token_json: dict[Token | None, str] = {None: "null"}
         self.created_at = time.time()  # wall clock: reported as a timestamp
         self.created_monotonic = now_monotonic
         self.last_active = now_monotonic
 
-    def feed(self, message: Message) -> dict[str, Any]:
-        """Apply one event; the NDJSON prediction line it earns.
+    def feed(self, messages: list[Message]) -> list[str]:
+        """Apply events in order; the NDJSON prediction line each earns.
 
-        ``outcome`` scores this event against what the predictor
-        expected; ``predicted`` is the token now predicted to arrive
-        *next* for the event's block; the stats are running totals
-        identical to the batch path's accounting.
+        A line is ``json.dumps`` (sorted keys) of ``seq``, ``outcome``
+        (this event scored against what the predictor expected),
+        ``predicted`` (the token now predicted to arrive *next* for the
+        event's block) and the running ``observed``, ``correct``,
+        ``accuracy`` and ``coverage`` — totals identical to the batch
+        path's accounting.  Each distinct token is encoded once per
+        session.
         """
-        self.events += 1
-        outcome = self.predictor.observe(message)
+        observe = self.predictor.observe
+        predicted_next = self.predictor.predicted_next
         stats = self.predictor.stats
-        return {
-            "seq": self.events,
-            "outcome": outcome.value,
-            "predicted": encode_token(self.predictor.predicted_next(message.block)),
-            "observed": stats.observed,
-            "correct": stats.correct,
-            "accuracy": stats.accuracy,
-            "coverage": stats.coverage,
-        }
+        tokens = self._token_json
+        lines = []
+        for message in messages:
+            self.events += 1
+            outcome = observe(message)
+            token = predicted_next(message.block)
+            predicted = tokens.get(token)
+            if predicted is None:
+                predicted = tokens[token] = token_json(token)
+            lines.append(
+                _PREDICTION_LINE
+                % (
+                    stats.accuracy,
+                    stats.correct,
+                    stats.coverage,
+                    stats.observed,
+                    _OUTCOME_JSON[outcome],
+                    predicted,
+                    self.events,
+                )
+            )
+        return lines
 
     def status(self, now_monotonic: float) -> dict[str, Any]:
         stats = self.predictor.stats
@@ -366,7 +453,7 @@ class SessionTable:
             )
         return session
 
-    def feed(self, session_id: str, messages: Iterable[Message]) -> list[dict[str, Any]]:
+    def feed(self, session_id: str, messages: Iterable[Message]) -> list[str]:
         """Apply one event batch atomically; one prediction line each.
 
         The whole batch is bounds-checked up front (413 before any
@@ -382,7 +469,7 @@ class SessionTable:
                 f"batch of {len(batch)} events would exceed the per-session "
                 f"bound ({self.max_events}); close the session or open a new one"
             )
-        lines = [session.feed(message) for message in batch]
+        lines = session.feed(batch)
         self.events_observed += len(batch)
         return lines
 

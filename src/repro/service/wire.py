@@ -223,16 +223,27 @@ async def write_response(
     framing intact).
     """
     reason = REASONS.get(response.status, "Unknown")
+    # A handler-supplied Content-Type (e.g. /metrics' text format)
+    # replaces the framing's default instead of duplicating the header.
+    content_type = (
+        "application/x-ndjson; charset=utf-8"
+        if response.stream is not None
+        else "application/json; charset=utf-8"
+    )
+    extra = []
+    for name, value in response.headers.items():
+        if name.lower() == "content-type":
+            content_type = value
+        else:
+            extra.append(f"{name}: {value}")
     if response.stream is not None:
         head = [
             f"HTTP/1.1 {response.status} {reason}",
-            "Content-Type: application/x-ndjson; charset=utf-8",
+            f"Content-Type: {content_type}",
             "Transfer-Encoding: chunked",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
-        head.extend(
-            f"{name}: {value}" for name, value in response.headers.items()
-        )
+        head.extend(extra)
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii"))
         await writer.drain()
         async for chunk in response.stream:
@@ -244,15 +255,6 @@ async def write_response(
         await writer.drain()
         return
     body = response.encode_body()
-    content_type = "application/json; charset=utf-8"
-    extra = []
-    for name, value in response.headers.items():
-        # A handler-supplied Content-Type (e.g. /metrics' text format)
-        # replaces the JSON default instead of duplicating the header.
-        if name.lower() == "content-type":
-            content_type = value
-        else:
-            extra.append(f"{name}: {value}")
     head = [
         f"HTTP/1.1 {response.status} {reason}",
         f"Content-Type: {content_type}",

@@ -320,13 +320,18 @@ class TestPointEndpoint:
                 "&config=%7B%22num_nodes%22%3A8%7D",
                 ("disagrees",),
             ),
+            ("kind=accuracy&app=em3d&iterations=1&_timeout_s=nan", ("'nan'", "non-negative")),
+            ("kind=accuracy&app=em3d&iterations=1&_timeout_s=NaN", ("'NaN'", "non-negative")),
+            ("kind=accuracy&app=em3d&iterations=1&_timeout_s=-1", ("'-1'", "non-negative")),
+            ("kind=accuracy&app=em3d&iterations=1&_timeout_s=-0.5", ("'-0.5'", "non-negative")),
         ],
     )
     def test_unknown_app_predictor_or_bad_depth_is_400(self, tmp_path, query, menu):
         """Accuracy/speculation parameters that can never run — unknown
         names, depth < 1, a processor count below the app's minimum,
-        iterations < 1, bad config overrides — fail fast with 400,
-        before the point is queued or a trace is compiled and cached."""
+        iterations < 1, bad config overrides — and a NaN or negative
+        ``_timeout_s`` fail fast with 400, before the point is queued or
+        a trace is compiled and cached."""
 
         async def scenario(service):
             status, body = await http_request(service.port, f"/v1/point?{query}")
@@ -605,3 +610,162 @@ class TestClaimedService:
             claim_dir=str(tmp_path / "cache" / "claims"),
             worker_id="replica-test",
         )
+
+
+async def raw_point(port, target):
+    """GET ``target``; (status, exact body bytes)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(
+            f"GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".encode()
+        )
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        length = None
+        while (line := await reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode().partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return status, await reader.readexactly(length)
+    finally:
+        writer.close()
+
+
+def expected_reply(body, point, result, cached):
+    """``json.dumps(payload, sort_keys=True) + "\\n"`` of the payload the
+    reply must carry, with the two timings taken from the reply."""
+    got = json.loads(body)
+    payload = {
+        "cached": cached,
+        "elapsed_s": got["elapsed_s"],
+        "key": point.key,
+        "kind": point.kind,
+        "params": point.as_dict(),
+        "result": result,
+        "wall_ms": got["wall_ms"],
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+#: A probe payload with non-ASCII strings and floats whose shortest
+#: repr is unusual (exponents, subnormals, negative zero, ulp steps).
+AWKWARD = {
+    "text": "héllo ☃ \U0001f600 \"quoted\" \\ back\tslash",
+    "clé": [0.1 + 0.2, 1e-07, 1e16, 5e-324, -0.0, 1.0000000000000002],
+    "big": 123456789012345678901234567890,
+    "nested": {"z": None, "a": [True, False, 1.5e300]},
+}
+
+
+class TestPointReplyBytes:
+    """The reply is spliced from memoized parts; its bytes must still be
+    json.dumps of the payload, for every way a point can be had."""
+
+    def point_and_target(self):
+        from urllib.parse import quote
+
+        from repro.harness import SweepPoint
+
+        point = SweepPoint.make("svc_probe", {"payload": AWKWARD})
+        return point, "/v1/point?kind=svc_probe&payload=" + quote(json.dumps(AWKWARD))
+
+    def test_computed_hot_hit_and_disk_hit_replies_are_json_dumps(self, tmp_path):
+        point, target = self.point_and_target()
+        result = {"echo": AWKWARD, "name": "default"}
+
+        async def first_life(service):
+            tier = service.runner.store.hot_tier
+            status, body = await raw_point(service.port, target)
+            assert status == 200
+            assert body == expected_reply(body, point, result, cached=False)
+            for hits in (1, 2):
+                status, body = await raw_point(service.port, target)
+                assert tier.hits == hits  # served from the hot tier
+                assert body == expected_reply(body, point, result, cached=True)
+
+        async def second_life(service):
+            tier = service.runner.store.hot_tier
+            status, body = await raw_point(service.port, target)
+            assert tier.hits == 0 and tier.misses == 1  # read off the disk
+            assert body == expected_reply(body, point, result, cached=True)
+
+        async def no_tier(service):
+            assert service.runner.store.hot_tier is None
+            for _ in range(2):
+                status, body = await raw_point(service.port, target)
+                assert body == expected_reply(body, point, result, cached=True)
+
+        run_with_service(tmp_path, first_life)
+        run_with_service(tmp_path, second_life)
+        run_with_service(tmp_path, no_tier, hot_entries=0)
+        assert CALLS["default"] == 1
+
+
+class TestPointMemo:
+    def test_memos_stay_within_their_bounds(self, tmp_path, monkeypatch):
+        import repro.harness.store as store_mod
+        import repro.service.app as app_mod
+
+        monkeypatch.setattr(app_mod, "POINT_QUERY_MEMO_ENTRIES", 3)
+        monkeypatch.setattr(store_mod, "ADDRESS_MEMO_ENTRIES", 4)
+
+        async def scenario(service):
+            for n in range(10):
+                for _ in range(2):
+                    status, body = await http_request(
+                        service.port, f"/v1/point?kind=svc_probe&payload={n}"
+                    )
+                    assert status == 200 and body["result"]["echo"] == n
+                    assert len(service.app._point_queries) <= 3
+                    assert len(service.runner.store._addresses) <= 4
+            assert CALLS["default"] == 10
+
+        run_with_service(tmp_path, scenario)
+
+    def test_invalid_queries_answer_400_every_time(self, tmp_path):
+        async def scenario(service):
+            for target in (
+                "/v1/point?kind=accuracy&app=nope",
+                "/v1/point?kind=svc_probe&_timeout_s=nan",
+                "/v1/point?kind=svc_probe&_bogus=1",
+            ):
+                for _ in range(3):
+                    status, _ = await http_request(service.port, target)
+                    assert status == 400
+            assert service.app._point_queries == {}
+
+        run_with_service(tmp_path, scenario)
+
+    def test_memoized_query_never_serves_stale_bytes(self, tmp_path):
+        """Overwrite, discard and clear each change what a remembered
+        query is answered with, hot tier and all."""
+        from repro.harness import SweepPoint
+
+        point = SweepPoint.make("svc_probe", {"payload": 7})
+        target = "/v1/point?kind=svc_probe&payload=7"
+        computed = {"echo": 7, "name": "default"}
+
+        async def scenario(service):
+            store = service.runner.store
+
+            async def reply(result, cached):
+                status, body = await raw_point(service.port, target)
+                assert status == 200
+                assert body == expected_reply(body, point, result, cached)
+
+            await reply(computed, cached=False)
+            await reply(computed, cached=True)  # memoized query, hot hit
+            store.store(point, {"other": "été", "x": 0.5})
+            await reply({"other": "été", "x": 0.5}, cached=True)
+            await reply({"other": "été", "x": 0.5}, cached=True)
+            store.discard(point)
+            await reply(computed, cached=False)
+            assert CALLS["default"] == 2
+            store.store(point, {"other": 1})
+            await reply({"other": 1}, cached=True)
+            store.clear()
+            await reply(computed, cached=False)
+            await reply(computed, cached=True)
+            assert CALLS["default"] == 3
+
+        run_with_service(tmp_path, scenario)

@@ -14,7 +14,20 @@ Three claims, each load-bearing for the streaming API:
 3. **Counter balance** — ``opened == active + closed + evicted`` at
    every step, so the ``/statz`` ``sessions`` section can be trusted
    as a conservation law, not a best-effort gauge.
+
+Two more pin the codec, which writes lines from a template and reads
+lines with a shortcut:
+
+4. **Lines are json.dumps** — every streamed prediction line is, byte
+   for byte, ``json.dumps`` (sorted keys) of the line object built from
+   a reference predictor fed the same events.
+5. **Decoding is exact** — the NDJSON decoder accepts exactly the
+   batches a plain ``json.loads`` + :func:`parse_event` per line
+   accepts, with the same messages, and fails with the same error.
 """
+
+import asyncio
+import json
 
 import pytest
 
@@ -25,14 +38,22 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.common.types import Message, MessageKind
+from repro.harness import ParallelRunner
 from repro.predictors import PREDICTOR_CLASSES
+from repro.predictors.base import ReadVector
+from repro.service.app import ServiceApp
+from repro.service.jobs import ComputePool, JobTable
 from repro.service.sessions import (
     SessionBoundExceeded,
     SessionTable,
     SessionTableFull,
     UnknownSession,
+    encode_message,
+    parse_event,
+    parse_ndjson_events,
 )
-from tests.strategies import STANDARD_SETTINGS
+from repro.service.wire import Request
+from tests.strategies import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
 pytestmark = pytest.mark.property
 
@@ -187,3 +208,199 @@ class SessionLifecycleMachine(RuleBasedStateMachine):
 
 SessionLifecycleMachine.TestCase.settings = STANDARD_SETTINGS
 TestSessionLifecycle = SessionLifecycleMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# 4. every streamed line is json.dumps of the reference line object
+# ----------------------------------------------------------------------
+def reference_token(token):
+    if token is None:
+        return None
+    if isinstance(token, ReadVector):
+        return {"readers": sorted(token)}
+    kind, node = token
+    return {"kind": kind.value, "node": node}
+
+
+def reference_lines(predictor, depth, messages):
+    reference = PREDICTOR_CLASSES[predictor](depth=depth)
+    lines = []
+    for seq, message in enumerate(messages, start=1):
+        outcome = reference.observe(message)
+        stats = reference.stats
+        line = {
+            "seq": seq,
+            "outcome": outcome.value,
+            "predicted": reference_token(reference.predicted_next(message.block)),
+            "observed": stats.observed,
+            "correct": stats.correct,
+            "accuracy": stats.accuracy,
+            "coverage": stats.coverage,
+        }
+        lines.append(json.dumps(line, sort_keys=True))
+    return lines
+
+
+def stream_through_app(predictor, depth, batches, num_procs=NUM_PROCS):
+    """Open a session on an in-process app, POST each batch as NDJSON,
+    and return every streamed line (chunks joined, split on newlines)."""
+
+    async def scenario():
+        pool = ComputePool(ParallelRunner(jobs=1))
+        app = ServiceApp(pool, JobTable(pool), SessionTable(clock=FakeClock()))
+        opened = await app.handle(
+            Request(
+                method="POST",
+                path="/v1/sessions",
+                query={},
+                headers={},
+                body=json.dumps(
+                    {"predictor": predictor, "depth": depth, "num_procs": num_procs}
+                ).encode(),
+            )
+        )
+        events_path = opened.payload["events_url"]
+        body = b""
+        for batch in batches:
+            response = await app.handle(
+                Request(
+                    method="POST",
+                    path=events_path,
+                    query={},
+                    headers={},
+                    body=b"".join(
+                        json.dumps(encode_message(m)).encode() + b"\n" for m in batch
+                    ),
+                )
+            )
+            assert response.status == 200
+            async for chunk in response.stream:
+                body += chunk
+        return body
+
+    body = asyncio.run(scenario())
+    assert body.endswith(b"\n") or not body
+    return body.decode("utf-8").splitlines()
+
+
+#: Wide node ids, so VMSP reader vectors iterate out of sorted order
+#: (a set of 7, 8 and 63 iterates as 8, 7, 63), drawn as repeated
+#: patterns, so predictions — reader vectors among them — are made.
+WIDE_PROCS = 64
+WIDE_MESSAGES = st.builds(
+    Message,
+    kind=st.sampled_from([MessageKind.READ] * 3 + list(MessageKind)),
+    node=st.sampled_from([0, 1, 7, 8, 9, 17, 33, 63]),
+    block=st.integers(min_value=0, max_value=2),
+)
+
+
+@given(
+    predictor=st.sampled_from(sorted(PREDICTOR_CLASSES)),
+    depth=st.integers(min_value=1, max_value=3),
+    pattern=st.lists(WIDE_MESSAGES, min_size=1, max_size=10),
+    repeats=st.integers(min_value=1, max_value=6),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+)
+@DETERMINISM_SETTINGS
+def test_streamed_lines_are_json_dumps_of_the_reference(
+    predictor, depth, pattern, repeats, cuts
+):
+    messages = pattern * repeats
+    bounds = sorted({c for c in cuts if c < len(messages)} | {0, len(messages)})
+    batches = [messages[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert stream_through_app(
+        predictor, depth, batches, num_procs=WIDE_PROCS
+    ) == reference_lines(predictor, depth, messages)
+
+
+def test_large_batches_stream_in_chunks_with_every_line_intact():
+    """A batch past the 16 KB chunk size streams as several chunks whose
+    concatenation is still one line per event."""
+    messages = [
+        Message(kind=kind, node=node, block=block)
+        for block in range(40)
+        for kind in (MessageKind.READ, MessageKind.WRITE)
+        for node in range(NUM_PROCS)
+    ]
+    for predictor in sorted(PREDICTOR_CLASSES):
+        lines = stream_through_app(predictor, 2, [messages])
+        assert lines == reference_lines(predictor, 2, messages)
+        assert sum(len(line) + 1 for line in lines) > 2 * 16384
+
+
+# ----------------------------------------------------------------------
+# 5. the decoder accepts and rejects exactly what json.loads +
+#    parse_event per line does
+# ----------------------------------------------------------------------
+def plain_decode(body, num_procs):
+    """One ``json.loads`` and one :func:`parse_event` per line."""
+    messages = []
+    for lineno, raw in enumerate(body.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
+        try:
+            messages.append(parse_event(obj, num_procs))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return messages
+
+
+def decoded(decode, body, num_procs=NUM_PROCS):
+    try:
+        return ("ok", decode(body, num_procs))
+    except Exception as exc:  # noqa: BLE001 -- the type is compared too
+        return (type(exc).__name__, str(exc))
+
+
+#: Lines the shortcut must take, must leave, or must not be fooled by.
+LINES = st.sampled_from(
+    [
+        b'{"kind": "read", "node": 1, "block": 2}',
+        b'{"block":2,"node":3,"kind":"write"}',
+        b'  {"kind" : "ack" ,"node":0, "block" :0 }  ',
+        b'{"kind": "\\u0072ead", "node": 1, "block": 2}',
+        b'{"kind": "read", "node": 1, "block": 2, "node": 3}',
+        b'{"kind": "read", "node": 4, "block": 2}',
+        b'{"kind": "read", "node": -1, "block": 2}',
+        b'{"kind": "read", "node": true, "block": 2}',
+        b'{"kind": "read", "node": 1.0, "block": 2}',
+        b'{"kind": "read", "node": 1, "block": -2}',
+        b'{"kind": "read", "node": 1, "block": 2, "x": 0}',
+        b'{"kind": "read", "node": 1}',
+        b'{"kind": "READ", "node": 1, "block": 2}',
+        b'{"kind": ["read"], "node": 1, "block": 2}',
+        b'{"kind": "read", "node": 1, "block": 2} x',
+        b'{"kind":"read"',
+        b'"node":1,"block":2}',
+        b'{"kind": "read", "node": 1, "block": 2}, {"kind": "ack", "node": 1, "block": 2}',
+        b'[{"kind": "read", "node": 1, "block": 2}]',
+        b'\xef\xbb\xbf{"kind": "read", "node": 1, "block": 2}',
+        b'{"kind": "read", "node": 1, "block": 2, "\xff": 1}',
+        b'{"kind": "r\xc3\xa9ad", "node": 1, "block": 2}',
+        b'{"kind": "read", "node": 1, "block": 99999999999999999999}',
+        b'{}',
+        b'null',
+        b'',
+        b'  \t ',
+        b'\x0b',
+    ]
+)
+SEPARATORS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n"])
+
+
+@given(
+    lines=st.lists(st.tuples(LINES, SEPARATORS), max_size=8),
+    num_procs=st.integers(min_value=1, max_value=5),
+)
+@DETERMINISM_SETTINGS
+def test_decoder_matches_plain_json_loads_per_line(lines, num_procs):
+    body = b"".join(line + separator for line, separator in lines)
+    assert decoded(parse_ndjson_events, body, num_procs) == decoded(
+        plain_decode, body, num_procs
+    )

@@ -90,6 +90,64 @@ class TestEventCodec:
             Message(kind=MessageKind.READ, node=1, block=2)
         ]
 
+    def test_ndjson_crlf_whitespace_and_any_key_order(self):
+        body = (
+            b'\r\n{"kind": "read", "node": 1, "block": 2}\r\n  \r\n'
+            b' {"block":3,"node":0,"kind":"ack"}\t\r\n'
+            b'{"kind": "\\u0077rite", "node": 2, "block": 3}\r'
+        )
+        assert parse_ndjson_events(body, num_procs=4) == [
+            msg(MessageKind.READ, node=1, block=2),
+            msg(MessageKind.ACK, node=0, block=3),
+            msg(MessageKind.WRITE, node=2, block=3),
+        ]
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (
+                b'{"kind": "read", "node": 0, "block": 0}\n'
+                b'{"kind": "read", "node": true, "block": 0}\n',
+                "line 2: event node must be a non-negative integer, got True",
+            ),
+            (
+                b'{"kind": "read", "node": 0, "block": 0, "x": 1}\n',
+                "line 1: unknown event field(s): x",
+            ),
+            (
+                b'\n{"kind": "read", "node": 0, "block": 0}\n'
+                b'{"kind": "r\xff", "node": 0, "block": 0}\n',
+                "line 3: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                "in position 11: invalid start byte",
+            ),
+            # A fragment on line 1 and two events on line 3 balance out
+            # when the lines are joined into one array; line by line,
+            # line 1 is the error.
+            (
+                b'{"kind":"read"\n"node":1,"block":2}\n'
+                b'{"kind": "read", "node": 1, "block": 2}, '
+                b'{"kind": "read", "node": 2, "block": 2}\n',
+                "line 1: invalid JSON: Expecting ',' delimiter: "
+                "line 1 column 15 (char 14)",
+            ),
+            (
+                b'{"kind": "read", "node": 1, "block": 2}, '
+                b'{"kind": "read", "node": 2, "block": 2}\n',
+                "line 1: invalid JSON: Extra data: line 1 column 40 (char 39)",
+            ),
+            # An unhashable kind is a bad kind (400), not an internal error.
+            (
+                b'{"kind": [1], "node": 0, "block": 0}',
+                "line 1: bad event kind [1] (known: ack, read, upgrade, "
+                "write, writeback)",
+            ),
+        ],
+    )
+    def test_ndjson_errors_are_exact(self, body, error):
+        with pytest.raises(ValueError) as excinfo:
+            parse_ndjson_events(body, num_procs=4)
+        assert str(excinfo.value) == error
+
 
 # ----------------------------------------------------------------------
 # the table
@@ -99,7 +157,7 @@ class TestSessionTable:
         table, clock = make_table()
         session = table.open("MSP", depth=1, num_procs=4)
         lines = table.feed(session.id, [msg(MessageKind.WRITE, node=n) for n in (0, 1)])
-        assert [line["seq"] for line in lines] == [1, 2]
+        assert [json.loads(line)["seq"] for line in lines] == [1, 2]
         summary = table.close(session.id)
         assert summary["events"] == 2
         assert set(summary["run"]) == {

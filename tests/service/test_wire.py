@@ -148,3 +148,49 @@ class TestResponseWriting:
         assert int(dict(
             line.split(b": ", 1) for line in head.split(b"\r\n")[1:]
         )[b"Content-Length"]) == len(body)
+
+    @staticmethod
+    def written(response):
+        """What ``write_response`` puts on a socket for ``response``."""
+
+        async def inner():
+            import socket
+
+            left, right = socket.socketpair()
+            _, writer = await asyncio.open_connection(sock=left)
+            await write_response(writer, response, True)
+            writer.close()
+            await writer.wait_closed()
+            right.settimeout(5)
+            data = b""
+            while chunk := right.recv(65536):
+                data += chunk
+            right.close()
+            return data
+
+        return asyncio.run(inner())
+
+    def test_stream_content_type_is_replaced_not_duplicated(self):
+        async def chunks():
+            yield b"a,b\n"
+
+        data = self.written(
+            Response(stream=chunks(), headers={"content-type": "text/csv", "X-N": "1"})
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        content_types = [l for l in lines if l.lower().startswith(b"content-type:")]
+        assert content_types == [b"Content-Type: text/csv"]
+        assert b"X-N: 1" in lines and b"Transfer-Encoding: chunked" in lines
+        assert body == b"4\r\na,b\n\r\n0\r\n\r\n"
+
+    def test_stream_defaults_to_ndjson(self):
+        async def chunks():
+            yield b"{}\n"
+
+        head, _, _ = self.written(Response(stream=chunks())).partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[1:] == [
+            b"Content-Type: application/x-ndjson; charset=utf-8",
+            b"Transfer-Encoding: chunked",
+            b"Connection: keep-alive",
+        ]
